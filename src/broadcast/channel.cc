@@ -1,7 +1,5 @@
 #include "broadcast/channel.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 // pull interaction goes through pull::WaiterRegistry (pull/pull_sink.h).
 
@@ -38,7 +36,7 @@ void BroadcastChannel::PageAwaiter::await_suspend(std::coroutine_handle<> h) {
   }
   start_ = now;
   handle_ = h;
-  if (channel_->resync_enabled_) channel_->active_.push_back(this);
+  if (channel_->resync_enabled_) channel_->LinkActive(this);
   if (channel_->pull_ != nullptr) {
     // Enter the push-pull race: a pull slot carrying page_ may resume us
     // before the scheduled arrival does.
@@ -91,11 +89,8 @@ void BroadcastChannel::PageAwaiter::ScheduleAttempt(std::coroutine_handle<> h,
 
 void BroadcastChannel::PageAwaiter::Finish(std::coroutine_handle<> h,
                                            double end, bool via_pull) {
-  if (channel_->resync_enabled_) {
-    // Deregister before resuming: the resume may destroy this frame.
-    auto& active = channel_->active_;
-    active.erase(std::find(active.begin(), active.end(), this));
-  }
+  // Deregister before resuming: the resume may destroy this frame.
+  if (channel_->resync_enabled_) channel_->UnlinkActive(this);
   if (registered_) {
     channel_->pull_->RemoveWaiter(page_, this);
     registered_ = false;
@@ -152,11 +147,40 @@ void BroadcastChannel::SetProgram(const BroadcastProgram* program,
   BCAST_CHECK_EQ(program->num_disks(), program_->num_disks());
   program_ = program;
   origin_ = now;
-  // Re-arm on a snapshot: Resync never resumes a coroutine synchronously
-  // (all re-armed events are strictly in the future), but a copy keeps
-  // the loop robust to any future early-resume path.
-  const std::vector<PageAwaiter*> active = active_;
-  for (PageAwaiter* waiter : active) waiter->Resync(now);
+  // Resync never resumes a coroutine synchronously (all re-armed events
+  // are strictly in the future), so the list is stable during the walk;
+  // reading the successor first would still survive a waiter unlinking
+  // itself.
+  for (PageAwaiter* waiter = active_head_; waiter != nullptr;) {
+    PageAwaiter* const next = waiter->next_;
+    waiter->Resync(now);
+    waiter = next;
+  }
+}
+
+void BroadcastChannel::LinkActive(PageAwaiter* waiter) {
+  waiter->prev_ = active_tail_;
+  waiter->next_ = nullptr;
+  if (active_tail_ != nullptr) {
+    active_tail_->next_ = waiter;
+  } else {
+    active_head_ = waiter;
+  }
+  active_tail_ = waiter;
+}
+
+void BroadcastChannel::UnlinkActive(PageAwaiter* waiter) {
+  if (waiter->prev_ != nullptr) {
+    waiter->prev_->next_ = waiter->next_;
+  } else {
+    active_head_ = waiter->next_;
+  }
+  if (waiter->next_ != nullptr) {
+    waiter->next_->prev_ = waiter->prev_;
+  } else {
+    active_tail_ = waiter->prev_;
+  }
+  waiter->prev_ = waiter->next_ = nullptr;
 }
 
 void BroadcastChannel::ResetStats() {

@@ -104,6 +104,8 @@ class BroadcastChannel {
     void Resync(double now);
 
    private:
+    friend class BroadcastChannel;  // walks and edits the in-flight list
+
     // Arms the next audible arrival of page_ at or after listen_from;
     // the fired event draws the fault outcome and either resumes h or
     // re-arms. Only used on the faulty path.
@@ -123,6 +125,9 @@ class BroadcastChannel {
     // wins the race. Only maintained while registered with a pull server.
     des::EventQueue::EventId pending_ = 0;
     bool registered_ = false;
+    // Links in the channel's in-flight list (resync mode only).
+    PageAwaiter* prev_ = nullptr;
+    PageAwaiter* next_ = nullptr;
   };
 
   /// Waits for the next complete broadcast of \p p over the ideal
@@ -168,8 +173,14 @@ class BroadcastChannel {
   const BroadcastProgram* program_;
   double origin_ = 0.0;  // simulated time the current program's cycle began
   pull::WaiterRegistry* pull_ = nullptr;
+  // In-flight waits, resync mode only: an intrusive list in start order,
+  // so a finishing wait unlinks in O(1) and SetProgram re-arms in order.
+  void LinkActive(PageAwaiter* waiter);
+  void UnlinkActive(PageAwaiter* waiter);
+
   bool resync_enabled_ = false;
-  std::vector<PageAwaiter*> active_;  // in-flight waits, resync mode only
+  PageAwaiter* active_head_ = nullptr;
+  PageAwaiter* active_tail_ = nullptr;
   std::vector<uint64_t> served_per_disk_;
   uint64_t total_served_ = 0;
   bool last_wait_via_pull_ = false;

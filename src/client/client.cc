@@ -25,6 +25,8 @@ Client::Client(des::Simulation* sim, BroadcastChannel* channel,
   BCAST_CHECK(mapping != nullptr);
   BCAST_CHECK_GE(mapping->num_pages(), gen->access_range())
       << "client would request pages outside the broadcast";
+  BCAST_CHECK_GE(cache->num_pages(), gen->access_range())
+      << "client would request pages outside its cache's page space";
   if (config_.trace != nullptr || BCAST_TIMELINE_PTR(sim_) != nullptr) {
     // Capture eviction victims for the trace and the timeline; the
     // callback stays unset — and the eviction path branch-free — when

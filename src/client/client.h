@@ -14,6 +14,7 @@
 #define BCAST_CLIENT_CLIENT_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "adapt/access_monitor.h"
@@ -101,6 +102,10 @@ class Client {
 
   /// Metrics for the measured phase (valid once the run completes).
   const ClientMetrics& metrics() const { return metrics_; }
+
+  /// Moves the metrics out (for result collection once the run is over);
+  /// `metrics()` must not be read afterwards.
+  ClientMetrics TakeMetrics() { return std::move(metrics_); }
 
   /// Requests spent warming up before measurement began.
   uint64_t warmup_requests() const { return warmup_requests_; }

@@ -61,6 +61,11 @@ struct NoiseModel {
 };
 
 /// \brief An invertible logical↔physical page permutation.
+///
+/// A noise-free mapping is a pure rotation and holds no tables: both
+/// directions are one compare and one add. Only a noisy mapping stores
+/// its two permutation tables (2 × 4 bytes per page), so a noise-free
+/// client's mapping costs nothing per database page.
 class Mapping {
  public:
   /// Builds the paper's mapping: identity, shifted by \p offset, then
@@ -90,30 +95,41 @@ class Mapping {
   static Mapping Identity(PageId num_pages);
 
   /// Number of pages in the mapping's domain.
-  PageId num_pages() const {
-    return static_cast<PageId>(to_physical_.size());
-  }
+  PageId num_pages() const { return num_pages_; }
 
   /// Physical page that logical \p page maps to.
-  PageId ToPhysical(PageId page) const { return to_physical_[page]; }
+  PageId ToPhysical(PageId page) const {
+    return to_physical_.empty() ? RotatedPhysical(page) : to_physical_[page];
+  }
 
   /// Logical page that physical \p page maps to.
-  PageId ToLogical(PageId page) const { return to_logical_[page]; }
+  PageId ToLogical(PageId page) const {
+    return to_logical_.empty() ? RotatedLogical(page) : to_logical_[page];
+  }
 
   /// Number of logical pages whose physical image differs from the pure
   /// offset mapping — the *actual* mismatch that Noise produced.
   uint64_t PerturbedPages() const;
 
  private:
-  Mapping(std::vector<PageId> to_physical, std::vector<PageId> to_logical,
-          std::vector<PageId> offset_only)
-      : to_physical_(std::move(to_physical)),
-        to_logical_(std::move(to_logical)),
-        offset_only_(std::move(offset_only)) {}
+  Mapping(PageId num_pages, PageId rotation)
+      : num_pages_(num_pages), rotation_(rotation) {}
 
+  // The offset rotation: logical l -> physical (l - rotation) mod n.
+  PageId RotatedPhysical(PageId page) const {
+    return page >= rotation_ ? page - rotation_
+                             : page + (num_pages_ - rotation_);
+  }
+  PageId RotatedLogical(PageId page) const {
+    const PageId wrap = num_pages_ - rotation_;
+    return page >= wrap ? page - wrap : page + rotation_;
+  }
+
+  PageId num_pages_;
+  PageId rotation_;  // offset mod num_pages_
+  // Noisy mappings only; empty means the pure rotation above.
   std::vector<PageId> to_physical_;
   std::vector<PageId> to_logical_;
-  std::vector<PageId> offset_only_;  // pre-noise mapping, for PerturbedPages
 };
 
 }  // namespace bcast

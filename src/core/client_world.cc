@@ -76,8 +76,10 @@ Status BuildClientWorld(const MultiClientParams& params, size_t c,
         static_cast<double>(deps.hybrid->pull_per_minor *
                             deps.hybrid->num_minor);
   }
+  // The cache is keyed by logical page and only ever sees pages the
+  // generator draws, so it spans the access range, not the database.
   Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
-      spec.policy, spec.cache_size, static_cast<PageId>(total),
+      spec.policy, spec.cache_size, static_cast<PageId>(spec.access_range),
       out->catalog.get(), policy_options);
   if (!cache.ok()) return cache.status();
   out->cache = std::move(*cache);

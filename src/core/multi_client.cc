@@ -443,14 +443,19 @@ Result<MultiClientResult> RunMultiClientSimulation(
   }
   timings.measured_seconds = run_watch.ElapsedSeconds();
 
+  // The exact end-of-run record, sampled while every client still holds
+  // its metrics (the collection below moves them out).
+  if (observers.stats != nullptr) take_stats_sample(true);
   MultiClientResult result;
   result.aggregate = ClientMetrics(program->num_disks());
+  result.per_client.reserve(worlds.size());
   for (size_t c = 0; c < worlds.size(); ++c) {
     BCAST_CHECK(worlds[c].client->finished())
         << "client " << c << " did not finish";
-    result.per_client.push_back(worlds[c].client->metrics());
-    result.aggregate.Merge(worlds[c].client->metrics());
-    const double mean = worlds[c].client->metrics().mean_response_time();
+    const ClientMetrics& m =
+        result.per_client.emplace_back(worlds[c].client->TakeMetrics());
+    result.aggregate.Merge(m);
+    const double mean = m.mean_response_time();
     result.mean_response_times.push_back(mean);
     result.response_across_clients.Add(mean);
     if (worlds[c].receiver != nullptr) {
@@ -463,8 +468,6 @@ Result<MultiClientResult> RunMultiClientSimulation(
   // Version bumps are a per-run fact, not a per-client sum: assign after
   // the merges (each receiver contributes zero).
   if (result.faults_active) result.faults.version_bumps = version_bumps;
-  // The exact end-of-run record (after the finished checks above).
-  if (observers.stats != nullptr) take_stats_sample(true);
   if (pull_server != nullptr) {
     pull_server->FinishRun(sim.Now());
     result.pull_stats = pull_server->stats();

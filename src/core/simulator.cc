@@ -175,10 +175,10 @@ Result<SimResult> RunSimulation(const SimParams& params,
         static_cast<double>(hybrid_layout.pull_per_minor *
                             hybrid_layout.num_minor);
   }
+  // Keyed by logical page: the client only requests [0, access_range).
   Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
       params.policy, params.cache_size,
-      static_cast<PageId>(params.ServerDbSize()), &catalog,
-      policy_options);
+      static_cast<PageId>(params.access_range), &catalog, policy_options);
   if (!cache.ok()) return cache.status();
 
   result.resolved_queue =

@@ -83,6 +83,7 @@ struct VolatileClient {
 
   // Per-logical-page freshness time: when the cached copy's content was
   // current (fetch completion, or last on-air refresh under kAutoRefresh).
+  // Spans the cache's page space, [0, access_range).
   std::vector<double> content_time;
 
   UpdateSimResult result;
@@ -140,7 +141,7 @@ struct VolatileClient {
   // Before sleeping, bank the passive refreshes of the ending awake
   // window so they are not lost once last_reconnect moves forward.
   void CommitRefreshes(double window_start, double window_end) {
-    for (PageId l = 0; l < static_cast<PageId>(content_time.size()); ++l) {
+    for (PageId l = 0; l < cache->num_pages(); ++l) {
       if (!cache->Contains(l)) continue;
       const double last = LastBroadcastEnd(mapping->ToPhysical(l),
                                            window_start, window_end);
@@ -295,8 +296,9 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
   if (!tracker.ok()) return tracker.status();
 
   SimCatalog catalog(&*gen, &*program, &*mapping);
+  // Keyed by logical page: the client only requests [0, access_range).
   Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
-      base.policy, base.cache_size, static_cast<PageId>(base.ServerDbSize()),
+      base.policy, base.cache_size, static_cast<PageId>(base.access_range),
       &catalog, base.policy_options);
   if (!cache.ok()) return cache.status();
 
@@ -327,7 +329,7 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
       updates.awake_for,
       updates.sleep_for,
       updates.invalidation_window_cycles,
-      std::vector<double>(base.ServerDbSize(),
+      std::vector<double>((*cache)->num_pages(),
                           -std::numeric_limits<double>::infinity()),
       {},
       {},

@@ -575,8 +575,12 @@ Result<MultiClientResult> RunPopulationSimulation(
   }
   end_time = std::max(end_time, last_stats_time);
 
+  // The exact end-of-run record, sampled while every client still holds
+  // its metrics (the collection below moves them out).
+  if (stats_on) take_stats_sample(true, end_time);
   MultiClientResult result;
   result.aggregate = ClientMetrics(program->num_disks());
+  result.per_client.reserve(n_clients);
   uint64_t version_bumps = 0;
   for (const auto& shard : shards) {
     version_bumps = std::max(version_bumps, shard->version_bumps());
@@ -584,9 +588,10 @@ Result<MultiClientResult> RunPopulationSimulation(
       ClientWorld& world = shard->world(c);
       BCAST_CHECK(world.client->finished())
           << "client " << c << " did not finish";
-      result.per_client.push_back(world.client->metrics());
-      result.aggregate.Merge(world.client->metrics());
-      const double mean = world.client->metrics().mean_response_time();
+      const ClientMetrics& m =
+          result.per_client.emplace_back(world.client->TakeMetrics());
+      result.aggregate.Merge(m);
+      const double mean = m.mean_response_time();
       result.mean_response_times.push_back(mean);
       result.response_across_clients.Add(mean);
       if (world.receiver != nullptr) {
@@ -598,7 +603,6 @@ Result<MultiClientResult> RunPopulationSimulation(
     }
   }
   if (result.faults_active) result.faults.version_bumps = version_bumps;
-  if (stats_on) take_stats_sample(true, end_time);
   if (pull_server != nullptr) {
     pull_server->FinishRun(end_time);
     result.pull_stats = pull_server->stats();

@@ -148,5 +148,21 @@ TEST(ClientDeathTest, MappingSmallerThanAccessRangeDies) {
                "outside the broadcast");
 }
 
+TEST(ClientDeathTest, CacheSmallerThanAccessRangeDies) {
+  des::Simulation sim;
+  auto program = GenerateFlatProgram(20);
+  ASSERT_TRUE(program.ok());
+  Mapping mapping = Mapping::Identity(20);
+  auto gen = AccessGenerator::Make(10, 5, 0.95, 2.0, ThinkTimeKind::kFixed,
+                                   Rng(3));
+  ASSERT_TRUE(gen.ok());
+  SimCatalog catalog(&*gen, &*program, &mapping);
+  LruCache cache(2, 9, &catalog);
+  BroadcastChannel channel(&sim, &*program);
+  EXPECT_DEATH(Client(&sim, &channel, &cache, &*gen, &mapping,
+                      ClientRunConfig{10, 100}),
+               "outside its cache's page space");
+}
+
 }  // namespace
 }  // namespace bcast

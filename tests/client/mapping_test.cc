@@ -5,6 +5,8 @@
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace bcast {
 namespace {
 
@@ -189,6 +191,111 @@ TEST(NoiseModelTest, DestinationsProduceDifferentChurn) {
         *Mapping::Make(D5(), 0, page_dest, Rng(seed)));
   }
   EXPECT_LT(disk_survivors, page_survivors);
+}
+
+TEST(MappingTest, NoiseFreeIsArithmeticRotation) {
+  // Random database sizes, disk splits and offsets in [0, n]: a noise-free
+  // mapping is exactly logical l -> (l + n - offset) mod n and back.
+  Rng rng(2024);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<uint64_t> sizes(1 + rng.NextBounded(3));
+    for (uint64_t& size : sizes) size = 1 + rng.NextBounded(700);
+    auto layout = MakeDeltaLayout(sizes, rng.NextBounded(4));
+    ASSERT_TRUE(layout.ok());
+    const uint64_t n = layout->TotalPages();
+    // Offsets 0 and n are the edge cases; draw them often.
+    const uint64_t pick = rng.NextBounded(4);
+    const uint64_t offset =
+        pick == 0 ? 0 : pick == 1 ? n : rng.NextBounded(n + 1);
+    auto mapping = Mapping::Make(*layout, offset, 0.0, Rng(trial));
+    ASSERT_TRUE(mapping.ok());
+    ASSERT_EQ(mapping->num_pages(), n);
+    EXPECT_EQ(mapping->PerturbedPages(), 0u);
+    for (PageId l = 0; l < n; ++l) {
+      const PageId p = static_cast<PageId>((l + n - offset) % n);
+      ASSERT_EQ(mapping->ToPhysical(l), p)
+          << "n " << n << " offset " << offset << " l " << l;
+      ASSERT_EQ(mapping->ToLogical(p), l)
+          << "n " << n << " offset " << offset << " p " << p;
+    }
+  }
+}
+
+// The noise algorithm as it was written against explicit tables from the
+// start: the rotation materialized, then coin-tossed swaps.
+struct ReferenceTables {
+  std::vector<PageId> to_physical;
+  std::vector<PageId> to_logical;
+  uint64_t perturbed = 0;
+};
+
+ReferenceTables ReferenceMapping(const DiskLayout& layout, uint64_t offset,
+                                 const NoiseModel& noise, Rng rng) {
+  const uint64_t total = layout.TotalPages();
+  const PageId n = static_cast<PageId>(total);
+  ReferenceTables ref;
+  ref.to_physical.resize(n);
+  ref.to_logical.resize(n);
+  for (PageId l = 0; l < n; ++l) {
+    ref.to_physical[l] = static_cast<PageId>((l + total - offset) % total);
+  }
+  const std::vector<PageId> offset_only = ref.to_physical;
+  for (PageId l = 0; l < n; ++l) ref.to_logical[ref.to_physical[l]] = l;
+  uint64_t coin_pages = noise.coin_pages;
+  if (coin_pages == 0 || coin_pages > total) coin_pages = total;
+  std::vector<uint64_t> disk_base(layout.NumDisks(), 0);
+  for (uint64_t i = 1; i < layout.NumDisks(); ++i) {
+    disk_base[i] = disk_base[i - 1] + layout.sizes[i - 1];
+  }
+  for (PageId l = 0; l < static_cast<PageId>(coin_pages); ++l) {
+    if (!rng.NextBernoulli(noise.percent / 100.0)) continue;
+    PageId target;
+    if (noise.destination == NoiseModel::Destination::kUniformDisk) {
+      const uint64_t disk = rng.NextBounded(layout.NumDisks());
+      target = static_cast<PageId>(disk_base[disk] +
+                                   rng.NextBounded(layout.sizes[disk]));
+    } else {
+      target = static_cast<PageId>(rng.NextBounded(total));
+    }
+    const PageId other = ref.to_logical[target];
+    const PageId mine = ref.to_physical[l];
+    ref.to_physical[l] = target;
+    ref.to_physical[other] = mine;
+    ref.to_logical[target] = l;
+    ref.to_logical[mine] = other;
+  }
+  for (PageId l = 0; l < n; ++l) {
+    if (ref.to_physical[l] != offset_only[l]) ++ref.perturbed;
+  }
+  return ref;
+}
+
+TEST(MappingTest, NoisyMatchesTableReference) {
+  const NoiseModel::Destination kDisk =
+      NoiseModel::Destination::kUniformDisk;
+  const NoiseModel::Destination kPage =
+      NoiseModel::Destination::kUniformPage;
+  const std::vector<std::tuple<uint64_t, NoiseModel>> cases = {
+      {0, {15.0, 0, kDisk}},     {500, {30.0, 0, kDisk}},
+      {500, {75.0, 1000, kDisk}}, {4999, {60.0, 0, kPage}},
+      {5000, {100.0, 0, kDisk}},  {250, {45.0, 300, kPage}},
+  };
+  for (uint64_t seed : {1u, 42u, 777u}) {
+    for (const auto& [offset, noise] : cases) {
+      auto mapping = Mapping::Make(D5(), offset, noise, Rng(seed));
+      ASSERT_TRUE(mapping.ok());
+      const ReferenceTables ref =
+          ReferenceMapping(D5(), offset, noise, Rng(seed));
+      EXPECT_EQ(mapping->PerturbedPages(), ref.perturbed)
+          << "seed " << seed << " offset " << offset;
+      for (PageId l = 0; l < 5000; ++l) {
+        ASSERT_EQ(mapping->ToPhysical(l), ref.to_physical[l])
+            << "seed " << seed << " offset " << offset << " l " << l;
+        ASSERT_EQ(mapping->ToLogical(l), ref.to_logical[l])
+            << "seed " << seed << " offset " << offset << " p " << l;
+      }
+    }
+  }
 }
 
 // Property sweep over (offset, noise) grid.

@@ -291,5 +291,28 @@ TEST(SleeperTest, SleepingMoreServesStalerData) {
   EXPECT_GE(heavy->StaleFraction(), light->StaleFraction());
 }
 
+TEST(SleeperTest, AutoRefreshNapsOverNarrowAccessRange) {
+  // The cache (and its freshness times) span only the 40-page access
+  // range of a 500-page database; the nap-time refresh commit walks that
+  // range. Run under the sanitizers, this pins every access in bounds.
+  SimParams base = SmallBase();
+  base.access_range = 40;
+  base.cache_size = 30;
+  base.offset = 120;
+  UpdateParams updates;
+  updates.update_rate = 0.05;
+  updates.action = ConsistencyAction::kAutoRefresh;
+  updates.awake_for = 300.0;
+  updates.sleep_for = 700.0;
+  auto result = RunUpdateSimulation(base, updates);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->requests, base.measured_requests);
+  EXPECT_GT(result->naps, 0u);
+  EXPECT_EQ(result->fresh_hits + result->stale_hits +
+                result->invalidation_refetches + result->cold_misses,
+            result->requests);
+  EXPECT_GT(result->fresh_hits, 0u);
+}
+
 }  // namespace
 }  // namespace bcast

@@ -4,6 +4,9 @@
 // whose `finished()` is still false — at every round barrier, while the
 // clients finish at different times, with and without pull transports,
 // crash–restart faults and the schedule-version tick chain.
+//
+// Shard client state: each client's cache spans its own access range, not
+// the server's database.
 
 #include "pop/shard.h"
 
@@ -110,6 +113,47 @@ TEST(ShardLivenessTest, UnfinishedMatchesScanUnderProcessFaults) {
   params.fault.process.crash_down = 50.0;
   params.fault.process.version_every = 2000.0;
   ExpectLiveCountMatchesScan(params);
+}
+
+TEST(ShardClientStateTest, CachesSpanTheAccessRange) {
+  // A 300-page database; clients touching all of it, one page, and
+  // ranges in between.
+  MultiClientParams params = SmallPopulation();
+  const std::vector<uint64_t> ranges = {150, 1, 60, 300, 7};
+  params.clients.resize(ranges.size());
+  for (size_t c = 0; c < ranges.size(); ++c) {
+    params.clients[c].access_range = ranges[c];
+    params.clients[c].cache_size = 40;
+  }
+  Result<DiskLayout> layout = MakeDeltaLayout(params.disk_sizes, params.delta);
+  ASSERT_TRUE(layout.ok()) << layout.status().ToString();
+  Result<BroadcastProgram> program = GenerateMultiDiskProgram(*layout);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  const pull::HybridLayout no_pull;
+  const std::vector<bool> cold_pages;
+  ShardShared shared;
+  shared.params = &params;
+  shared.layout = &*layout;
+  shared.program = &*program;
+  shared.hybrid = &no_pull;
+  shared.cold_pages = &cold_pages;
+
+  const uint64_t n = params.clients.size();
+  ClientStore store(n, /*shards=*/1, {}, /*need_pull=*/false,
+                    /*need_cold=*/false);
+  Shard shard(0, 0, n, shared, &store);
+  ASSERT_TRUE(shard.Build(Rng(params.seed)).ok());
+  for (uint64_t c = 0; c < n; ++c) {
+    const ClientWorld& world = shard.world(c);
+    EXPECT_EQ(world.cache->num_pages(), ranges[c]) << "client " << c;
+    EXPECT_EQ(world.mapping->num_pages(), params.ServerDbSize());
+  }
+  shard.RunRound(0.0, /*to_completion=*/true);
+  EXPECT_EQ(shard.unfinished(), 0u);
+  for (uint64_t c = 0; c < n; ++c) {
+    const ClientMetrics& m = shard.world(c).client->metrics();
+    EXPECT_EQ(m.requests(), params.measured_requests) << "client " << c;
+  }
 }
 
 }  // namespace
