@@ -1,8 +1,8 @@
-// Differential tests of the sharded population engine against the
-// legacy single-simulation runner (the oracle): on uncoupled and
-// fault-only configurations the engine must be *bit-identical* to
-// `RunMultiClientSimulation`, for any shard count. Also covers the
-// engine-only observability surfaces: population report extras and the
+// Differential tests of the sharded population engine against goldens
+// recorded by the retired single-simulation runner: on uncoupled and
+// fault-only configurations the engine must reproduce those reports
+// *bit for bit*, for any shard count. Also covers the engine-only
+// observability surfaces: population report extras and the
 // stats-stream population fields.
 
 #include "pop/engine.h"
@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,38 +29,42 @@ namespace {
 using pop_test::MakePopulation;
 using pop_test::SimulationBytes;
 
-// Serialized report of the legacy runner.
-std::string LegacyBytes(const MultiClientParams& params) {
-  auto result = RunMultiClientSimulation(params);
-  EXPECT_TRUE(result.ok()) << result.status().ToString();
-  return SimulationBytes(
-      MakePopulationRunReport(params, *result, "pop_test", "test"));
+// The checked-in report (SimulationBytes form) the single-simulation
+// runner produced for this configuration before it was deleted.
+std::string GoldenBytes(const std::string& name) {
+  const std::string path =
+      std::string(BCAST_BASELINE_DIR) + "/legacy_population/" + name + ".json";
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "missing golden " << path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
 }
 
-// Serialized report of the engine at shard count `k` (forced, so k=1
-// exercises the engine rather than the legacy fallback). Population
-// extras are deliberately *not* appended: the oracle cannot produce
-// them, and SimulationBytes already covers the engine-vs-engine case.
-std::string EngineBytes(const MultiClientParams& params, uint64_t k) {
-  PopParams pop;
+// Serialized report of the engine at shard count `k`. Population extras
+// are deliberately *not* appended: the goldens predate them, and
+// SimulationBytes already covers the engine-vs-engine case.
+std::string EngineBytes(const MultiClientParams& params, PopParams pop,
+                        uint64_t k) {
   pop.clients = params.clients.size();
   pop.shards = k;
-  pop.force_engine = true;
   auto result = RunPopulationSimulation(params, pop);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return SimulationBytes(
       MakePopulationRunReport(params, *result, "pop_test", "test"));
 }
 
-void ExpectEngineMatchesLegacy(const MultiClientParams& params) {
-  const std::string legacy = LegacyBytes(params);
+void ExpectEngineMatchesGolden(const MultiClientParams& params,
+                               const std::string& golden,
+                               const PopParams& pop = PopParams{}) {
+  const std::string expected = GoldenBytes(golden);
   for (uint64_t k : {1u, 2u, 5u}) {
-    EXPECT_EQ(EngineBytes(params, k), legacy) << "shards=" << k;
+    EXPECT_EQ(EngineBytes(params, pop, k), expected) << "shards=" << k;
   }
 }
 
 TEST(PopulationEngineTest, MatchesLegacyOnUncoupledConfig) {
-  ExpectEngineMatchesLegacy(MakePopulation(6));
+  ExpectEngineMatchesGolden(MakePopulation(6), "uncoupled");
 }
 
 TEST(PopulationEngineTest, MatchesLegacyUnderChannelFaults) {
@@ -67,7 +72,7 @@ TEST(PopulationEngineTest, MatchesLegacyUnderChannelFaults) {
   params.fault.loss = 0.1;
   params.fault.burst_len = 3.0;
   params.fault.corrupt = 0.02;
-  ExpectEngineMatchesLegacy(params);
+  ExpectEngineMatchesGolden(params, "channel_faults");
 }
 
 TEST(PopulationEngineTest, MatchesLegacyUnderProcessFaults) {
@@ -79,37 +84,24 @@ TEST(PopulationEngineTest, MatchesLegacyUnderProcessFaults) {
   params.fault.process.stall_every = 5000.0;
   params.fault.process.stall_len = 20.0;
   params.fault.process.slot_jitter = 0.3;
-  ExpectEngineMatchesLegacy(params);
+  ExpectEngineMatchesGolden(params, "process_faults");
 }
 
 TEST(PopulationEngineTest, MatchesLegacyUnderScheduleVersionBumps) {
   MultiClientParams params = MakePopulation(6);
   params.fault.process.version_every = 20000.0;
-  ExpectEngineMatchesLegacy(params);
+  ExpectEngineMatchesGolden(params, "version_bumps");
 }
 
 TEST(PopulationEngineTest, MatchesLegacyWithReceiverClasses) {
-  // Class profiles scale each client's fault knobs; the legacy runner
-  // reads the same stamped specs, so the runs must still agree.
+  // Class profiles scale each client's fault knobs; the golden was
+  // recorded from the same stamped specs.
   MultiClientParams params = MakePopulation(6);
   params.fault.loss = 0.1;
-  const auto classes =
-      *ParseClassProfiles("near:0.5:0.25:1,far:0.5:2:1");
-  ApplyClassProfiles(classes, &params.clients);
-  const std::string legacy = LegacyBytes(params);
   PopParams pop;
-  pop.clients = params.clients.size();
-  pop.classes = classes;
-  pop.force_engine = true;
-  for (uint64_t k : {1u, 3u}) {
-    pop.shards = k;
-    auto result = RunPopulationSimulation(params, pop);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(SimulationBytes(MakePopulationRunReport(params, *result,
-                                                      "pop_test", "test")),
-              legacy)
-        << "shards=" << k;
-  }
+  pop.classes = *ParseClassProfiles("near:0.5:0.25:1,far:0.5:2:1");
+  ApplyClassProfiles(pop.classes, &params.clients);
+  ExpectEngineMatchesGolden(params, "receiver_classes", pop);
 }
 
 // Finds an extra by key; -1 when absent.
