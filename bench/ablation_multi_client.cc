@@ -8,9 +8,10 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "core/multi_client.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "core/multi_client.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -39,7 +40,7 @@ void RunOne(bool cached) {
   for (uint64_t delta : {0, 1, 2, 3, 4, 5}) {
     MultiClientParams params = Population(cached);
     params.delta = delta;
-    auto result = RunMultiClientSimulation(params);
+    auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
     BCAST_CHECK(result.ok()) << result.status().ToString();
     std::vector<std::string> row{std::to_string(delta)};
     for (double rt : result->mean_response_times) {

@@ -49,7 +49,6 @@ void RunPopulation(benchmark::State& state, uint64_t clients,
   pop::PopParams pop;
   pop.clients = clients;
   pop.shards = shards;
-  pop.force_engine = true;
   for (auto _ : state) {
     auto result = pop::RunPopulationSimulation(params, pop);
     if (!result.ok()) {

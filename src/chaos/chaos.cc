@@ -273,52 +273,20 @@ ChaosScenario GenerateScenario(uint64_t chaos_seed, const ChaosAxes& axes) {
 
 namespace {
 
-// Expands the scenario's single-client draw into a population: every
-// client shares the drawn workload shape with its interest shifted
-// around the database, exactly as bcastsim --mode=population does.
-MultiClientParams PopulationParams(const ChaosScenario& scenario) {
-  const SimParams& base = scenario.params;
-  MultiClientParams params;
-  params.disk_sizes = base.disk_sizes;
-  params.delta = base.delta;
-  params.rel_freqs = base.rel_freqs;
-  params.program_kind = base.program_kind;
-  params.optimizer = base.optimizer;
-  params.measured_requests = base.measured_requests;
-  params.max_warmup_requests = base.max_warmup_requests;
-  params.seed = base.seed;
-  const uint64_t db = params.ServerDbSize();
-  for (uint64_t c = 0; c < scenario.clients; ++c) {
-    ClientSpec spec;
-    spec.access_range = base.access_range;
-    spec.theta = base.theta;
-    spec.region_size = base.region_size;
-    spec.cache_size = base.cache_size;
-    spec.policy = base.policy;
-    spec.offset = base.offset;
-    spec.noise_percent = base.noise_percent;
-    spec.think_time = base.think_time;
-    spec.interest_shift = db * c / scenario.clients;
-    params.clients.push_back(spec);
-  }
-  params.fault = base.fault;
-  params.pull = base.pull;
-  params.adapt = base.adapt;
-  params.des_queue = base.des_queue;
-  return params;
-}
-
 // Runs a population scenario through the engine at \p shards and
 // renders its report (no pop extras: identity comparisons need bytes
 // that do not mention the execution layout).
 Result<obs::RunReport> RunPopulationScenario(const ChaosScenario& scenario,
                                              uint64_t shards,
                                              obs::TimelineWriter* timeline) {
-  const MultiClientParams params = PopulationParams(scenario);
+  // Every client shares the drawn workload shape with its interest
+  // shifted around the database, exactly as bcastsim --mode=population
+  // does.
+  const MultiClientParams params =
+      PopulationFromSimParams(scenario.params, scenario.clients);
   pop::PopParams pp;
   pp.clients = scenario.clients;
   pp.shards = shards;
-  pp.force_engine = true;
   SimObservers observers;
   observers.horizon = scenario.horizon;
   observers.timeline = timeline;

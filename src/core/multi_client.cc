@@ -1,38 +1,61 @@
 #include "core/multi_client.h"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <numeric>
 #include <string>
 
-#include "adapt/controller.h"
-#include "adapt/loss_monitor.h"
-#include "broadcast/channel.h"
 #include "broadcast/generator.h"
 #include "broadcast/schedule_optimizer.h"
-#include "client/client.h"
-#include "common/logging.h"
-#include "common/rng.h"
-#include "common/string_util.h"
-#include "core/client_world.h"
-#include "core/simulator.h"
-#include "des/simulation.h"
-#include "fault/fault_model.h"
-#include "obs/stats_stream.h"
-#include "obs/timeline.h"
-#include "pull/hybrid.h"
-#include "pull/pull_client.h"
-#include "pull/pull_server.h"
 
 namespace bcast {
-namespace {
 
-// Sub-stream tag of the random-program draw. Per-client tags live in
-// core/client_world.cc with the shared assembly code.
-constexpr uint64_t kProgramStream = 3;
+fault::FaultParams ScaledFaultParams(const fault::FaultParams& base,
+                                     const ClientSpec& spec) {
+  fault::FaultParams scaled = base;
+  if (spec.loss_scale != 1.0) {
+    scaled.loss = std::min(1.0, base.loss * spec.loss_scale);
+  }
+  if (spec.doze_scale != 1.0) {
+    scaled.doze_for = base.doze_for * spec.doze_scale;
+  }
+  return scaled;
+}
 
-}  // namespace
+MultiClientParams PopulationFromSimParams(const SimParams& base,
+                                          uint64_t clients) {
+  MultiClientParams params;
+  params.disk_sizes = base.disk_sizes;
+  params.delta = base.delta;
+  params.rel_freqs = base.rel_freqs;
+  params.program_kind = base.program_kind;
+  params.optimizer = base.optimizer;
+  params.measured_requests = base.measured_requests;
+  params.max_warmup_requests = base.max_warmup_requests;
+  params.seed = base.seed;
+  params.des_queue = base.des_queue;
+  params.fault = base.fault;
+  params.pull = base.pull;
+  params.adapt = base.adapt;
+  const uint64_t db = params.ServerDbSize();
+  params.clients.reserve(clients);
+  for (uint64_t c = 0; c < clients; ++c) {
+    ClientSpec spec;
+    spec.access_range = base.access_range;
+    spec.theta = base.theta;
+    spec.region_size = base.region_size;
+    spec.interest_shift = db * c / clients;
+    spec.offset = base.offset;
+    spec.noise_percent = base.noise_percent;
+    spec.noise_scope = base.noise_scope;
+    spec.cache_size = base.cache_size;
+    spec.policy = base.policy;
+    spec.policy_options = base.policy_options;
+    spec.think_time = base.think_time;
+    spec.think_kind = base.think_kind;
+    params.clients.push_back(spec);
+  }
+  return params;
+}
 
 // Each addend is non-increasing hottest-first, so the mean is too, as
 // the optimizers require.
@@ -149,345 +172,6 @@ Status MultiClientParams::Validate() const {
     }
   }
   return Status::OK();
-}
-
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params) {
-  return RunMultiClientSimulation(params, SimObservers{});
-}
-
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params, const SimObservers& observers) {
-  obs::Stopwatch total_watch;
-  obs::PhaseTimings timings;
-
-  BCAST_RETURN_IF_ERROR(params.Validate());
-
-  const Rng master(params.seed);
-  // The configured optimizer designs layout and program together. With
-  // active pull params the air carries the hybrid program: the
-  // optimizer's program with pull slots interleaved into every minor
-  // cycle (slot-identical to the plain program when pull_slots == 0).
-  pull::HybridLayout hybrid_layout;
-  Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
-    obs::ScopedTimer timer(&timings.build_program_seconds);
-    if (params.program_kind == ProgramKind::kMultiDisk) {
-      const ScheduleOptimizer* optimizer =
-          FindScheduleOptimizer(params.optimizer);
-      BCAST_CHECK(optimizer != nullptr);  // Validate() vetted the name
-      OptimizerRequest request;
-      request.disk_sizes = params.disk_sizes;
-      request.rel_freqs = params.rel_freqs;
-      request.delta = params.delta;
-      // As in BuildSchedule: delta skips the probabilities (its
-      // historical build path stays byte-for-byte); the others derive
-      // their frequencies from the population's mean nominal demand.
-      if (params.optimizer != "delta") {
-        request.probs = PopulationNominalProbs(params);
-      }
-      Result<OptimizedSchedule> built = optimizer->Build(request);
-      if (!built.ok()) return built.status();
-      ServerSchedule out{std::move(built->layout), std::move(built->program),
-                         built->predicted_delay};
-      if (params.pull.Active()) {
-        Result<pull::HybridProgram> hybrid = pull::GenerateHybridProgram(
-            out.layout, params.pull.pull_slots);
-        if (!hybrid.ok()) return hybrid.status();
-        hybrid_layout = std::move(hybrid->layout);
-        out.program = std::move(hybrid->program);
-      }
-      return out;
-    }
-    Result<DiskLayout> layout =
-        params.rel_freqs.empty()
-            ? MakeDeltaLayout(params.disk_sizes, params.delta)
-            : MakeLayout(params.disk_sizes, params.rel_freqs);
-    if (!layout.ok()) return layout.status();
-    Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
-      if (params.program_kind == ProgramKind::kSkewed) {
-        return GenerateSkewedProgram(*layout);
-      }
-      Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
-      if (!reference.ok()) return reference.status();
-      Rng rng = master.Split(kProgramStream);
-      return GenerateRandomProgram(*layout, reference->period(), &rng);
-    }();
-    if (!program.ok()) return program.status();
-    return ServerSchedule{std::move(*layout), std::move(*program), 0.0};
-  }();
-  if (!schedule.ok()) return schedule.status();
-  const DiskLayout* const layout = &schedule->layout;
-  BroadcastProgram* const program = &schedule->program;
-
-  const uint64_t total = layout->TotalPages();
-  obs::Stopwatch setup_watch;
-  const des::QueueBackend resolved_queue = des::ResolveQueueBackend(
-      params.des_queue, /*expected_clients=*/params.clients.size());
-  des::Simulation sim(resolved_queue);
-  if (observers.profile_des) sim.EnableProfiling();
-  sim.AttachTimeline(observers.timeline);
-  BCAST_TIMELINE(observers.timeline,
-                 NameTrack(obs::track::kSim, "des"));
-  BroadcastChannel channel(&sim, &*program);
-
-  // One pull server is shared by the whole population: the backchannel
-  // and request queue are server-side resources, so clients contend for
-  // uplink slots and benefit from each other's pulls (a page one client
-  // requested resumes every waiter).
-  std::unique_ptr<pull::PullServer> pull_server;
-  if (params.pull.Active()) {
-    pull_server = std::make_unique<pull::PullServer>(&sim, hybrid_layout,
-                                                     params.pull);
-    if (pull_server->enabled()) channel.AttachPullServer(pull_server.get());
-    BCAST_TIMELINE(observers.timeline,
-                   NameTrack(obs::track::kPull, "pull"));
-  }
-
-  // Server-side process faults (stalls + jitter): the plane is a
-  // server-side resource like the pull server — one per run, shared by
-  // every receiver, because the server's trouble is common-mode across
-  // the population. Built only when the axes are on.
-  std::unique_ptr<fault::ServerFaultPlane> server_faults;
-  if (params.fault.process.ServerActive()) {
-    Rng salt_rng = fault::FaultStream(Rng(params.fault.fault_seed),
-                                      /*client_id=*/0,
-                                      fault::Purpose::kJitter);
-    server_faults = std::make_unique<fault::ServerFaultPlane>(
-        params.fault.process,
-        fault::FaultStream(Rng(params.fault.fault_seed), /*client_id=*/0,
-                           fault::Purpose::kStall),
-        salt_rng.Next());
-  }
-
-  // Cold-page set pinned to the initial program (see RunSimulation).
-  std::vector<bool> cold_pages;
-  if ((params.pull.Active() || params.adapt.Active()) &&
-      program->num_disks() > 1) {
-    const DiskIndex coldest =
-        static_cast<DiskIndex>(program->num_disks() - 1);
-    cold_pages.resize(total);
-    for (PageId p = 0; p < static_cast<PageId>(total); ++p) {
-      cold_pages[p] = program->DiskOf(p) == coldest;
-    }
-  }
-  // The adaptive control plane is population-wide: one loss monitor
-  // aggregates every receiver's failures (the server sees the union),
-  // and one controller steers the shared program and pull split.
-  std::unique_ptr<adapt::LossMonitor> loss_monitor;
-  std::unique_ptr<adapt::Controller> controller;
-  if (params.adapt.Active()) {
-    if (params.fault.Active()) {
-      loss_monitor =
-          std::make_unique<adapt::LossMonitor>(static_cast<PageId>(total));
-    }
-    adapt::Controller::Hooks hooks;
-    hooks.channel = &channel;
-    hooks.pull = (pull_server != nullptr && pull_server->enabled())
-                     ? pull_server.get()
-                     : nullptr;
-    hooks.loss = loss_monitor.get();
-    controller = std::make_unique<adapt::Controller>(&sim, *layout,
-                                                     params.adapt, hooks);
-    BCAST_TIMELINE(observers.timeline,
-                   NameTrack(obs::track::kController, "adapt"));
-  }
-
-  // Assemble every client's private machinery through the shared
-  // builder (core/client_world.h) — the same code the population engine
-  // runs, so the two paths cannot drift apart.
-  ClientWorldDeps deps;
-  deps.sim = &sim;
-  deps.channel = &channel;
-  deps.layout = &*layout;
-  deps.program = &*program;
-  deps.hybrid = &hybrid_layout;
-  deps.timeline = observers.timeline;
-  deps.trace = observers.trace;
-  deps.loss_monitor = loss_monitor.get();
-  deps.server_faults = server_faults.get();
-  deps.cold_pages = &cold_pages;
-  if (pull_server != nullptr) {
-    // Each client gets its own requester; the in-flight uplink loss
-    // draw comes from the (client id, kUplink) fault sub-stream so
-    // pull never perturbs the downlink draws.
-    deps.make_pull = [&sim, &pull_server, &params](
-                         size_t c, const fault::FaultParams& scaled) {
-      std::optional<Rng> uplink_rng;
-      double uplink_loss = 0.0;
-      if (scaled.Active() && scaled.loss > 0.0) {
-        uplink_rng = fault::FaultStream(Rng(scaled.fault_seed),
-                                        /*client_id=*/c,
-                                        fault::Purpose::kUplink);
-        uplink_loss = scaled.loss;
-      }
-      return std::make_unique<pull::PullClient>(
-          &sim, pull_server.get(), params.pull, uplink_rng, uplink_loss);
-    };
-  }
-  if (controller != nullptr) {
-    deps.cold_wait_for = [&controller](size_t) {
-      return &controller->stats().cold_wait;
-    };
-  }
-  std::vector<ClientWorld> worlds(params.clients.size());
-  for (size_t c = 0; c < params.clients.size(); ++c) {
-    BCAST_RETURN_IF_ERROR(
-        BuildClientWorld(params, c, master, deps, &worlds[c]));
-  }
-
-  timings.setup_seconds = setup_watch.ElapsedSeconds();
-
-  // The population-wide stats sampler: one snapshot aggregates every
-  // client's totals — the same view MakePopulationRunReport summarizes,
-  // so a stream summary reproduces the report's headline numbers. As in
-  // the single-client runner it is the one observer that *does* add DES
-  // events (tagged kStats); the tick re-arms only while some client is
-  // still running, so Run() can drain the queue and return.
-  uint64_t stats_prev_requests = 0;
-  uint64_t stats_prev_hits = 0;
-  double stats_prev_rt_sum = 0.0;
-  auto take_stats_sample = [&](bool final_sample) {
-    obs::StatsSample s;
-    s.t = sim.Now();
-    s.wall_seconds = observers.stats->ElapsedSeconds();
-    s.events = sim.events_dispatched();
-    double rt_sum = 0.0;
-    for (const auto& world : worlds) {
-      const ClientMetrics& m = world.client->metrics();
-      s.requests += m.requests();
-      s.hits += m.cache_hits();
-      s.warmup_requests += world.client->warmup_requests();
-      rt_sum += m.response_time().sum();
-      const std::vector<uint64_t>& per_disk = m.served_per_disk();
-      if (s.served_per_disk.size() < per_disk.size()) {
-        s.served_per_disk.resize(per_disk.size(), 0);
-      }
-      for (size_t d = 0; d < per_disk.size(); ++d) {
-        s.served_per_disk[d] += per_disk[d];
-      }
-      if (world.receiver != nullptr) {
-        s.fault_lost += world.receiver->stats().lost;
-        s.fault_retries += world.receiver->stats().retries;
-      }
-    }
-    s.mean_rt =
-        s.requests > 0 ? rt_sum / static_cast<double>(s.requests) : 0.0;
-    s.win_requests = s.requests - stats_prev_requests;
-    s.win_hits = s.hits - stats_prev_hits;
-    s.win_mean_rt = s.win_requests > 0
-                        ? (rt_sum - stats_prev_rt_sum) /
-                              static_cast<double>(s.win_requests)
-                        : 0.0;
-    if (pull_server != nullptr) {
-      s.pull_queue_depth = pull_server->queue_depth();
-      s.pull_serviced = pull_server->stats().serviced_pages;
-    }
-    s.final_sample = final_sample;
-    stats_prev_requests = s.requests;
-    stats_prev_hits = s.hits;
-    stats_prev_rt_sum = rt_sum;
-    observers.stats->Write(s);
-  };
-  std::function<void()> stats_tick;
-  if (observers.stats != nullptr) {
-    const double interval = std::max(observers.stats_interval, 1.0);
-    stats_tick = [&take_stats_sample, &stats_tick, &sim, &worlds,
-                  interval]() {
-      take_stats_sample(false);
-      const bool all_finished =
-          std::all_of(worlds.begin(), worlds.end(),
-                      [](const auto& w) { return w.client->finished(); });
-      if (!all_finished) {
-        sim.Schedule(interval, stats_tick, des::EventKind::kStats);
-      }
-    };
-    sim.Schedule(interval, stats_tick, des::EventKind::kStats);
-  }
-
-  // Schedule-version bumps (see RunSimulation): the server re-announces
-  // its program every version_every slots, re-arming every in-flight
-  // wait across the whole population through the resync path.
-  uint64_t version_bumps = 0;
-  std::function<void()> version_tick;
-  if (params.fault.process.version_every > 0.0) {
-    channel.EnableResync();
-    const double every = params.fault.process.version_every;
-    version_tick = [&version_tick, &version_bumps, &sim, &channel,
-                    every]() {
-      if (sim.live_processes() == 0) return;
-      channel.SetProgram(&channel.program(), sim.Now());
-      ++version_bumps;
-      sim.Schedule(every, version_tick, des::EventKind::kController);
-    };
-    sim.Schedule(every, version_tick, des::EventKind::kController);
-  }
-
-  obs::Stopwatch run_watch;
-  for (auto& world : worlds) sim.Spawn(world.client->Run());
-  if (controller != nullptr) controller->Start();
-  if (observers.horizon > 0.0) {
-    // Bounded run (chaos no-hang check): an unfinished client at the
-    // horizon is a liveness violation, reported instead of aborting.
-    sim.RunUntil(observers.horizon);
-    for (size_t c = 0; c < worlds.size(); ++c) {
-      if (!worlds[c].client->finished()) {
-        return Status::Internal(StrFormat(
-            "no-hang violation: client %zu unfinished at horizon %.0f "
-            "(t=%.0f, events=%llu)",
-            c, observers.horizon, sim.Now(),
-            static_cast<unsigned long long>(sim.events_dispatched())));
-      }
-    }
-  } else {
-    sim.Run();
-  }
-  timings.measured_seconds = run_watch.ElapsedSeconds();
-
-  // The exact end-of-run record, sampled while every client still holds
-  // its metrics (the collection below moves them out).
-  if (observers.stats != nullptr) take_stats_sample(true);
-  MultiClientResult result;
-  result.aggregate = ClientMetrics(program->num_disks());
-  result.per_client.reserve(worlds.size());
-  for (size_t c = 0; c < worlds.size(); ++c) {
-    BCAST_CHECK(worlds[c].client->finished())
-        << "client " << c << " did not finish";
-    const ClientMetrics& m =
-        result.per_client.emplace_back(worlds[c].client->TakeMetrics());
-    result.aggregate.Merge(m);
-    const double mean = m.mean_response_time();
-    result.mean_response_times.push_back(mean);
-    result.response_across_clients.Add(mean);
-    if (worlds[c].receiver != nullptr) {
-      result.faults.Merge(worlds[c].receiver->stats());
-      result.faults_active = true;
-    }
-    result.cold_requests += worlds[c].client->cold_requests();
-    result.cold_hits += worlds[c].client->cold_hits();
-  }
-  // Version bumps are a per-run fact, not a per-client sum: assign after
-  // the merges (each receiver contributes zero).
-  if (result.faults_active) result.faults.version_bumps = version_bumps;
-  if (pull_server != nullptr) {
-    pull_server->FinishRun(sim.Now());
-    result.pull_stats = pull_server->stats();
-    result.pull_active = true;
-  }
-  if (controller != nullptr) {
-    result.adapt_stats = controller->stats();
-    result.adapt_active = true;
-  }
-  result.end_time = sim.Now();
-  result.events_dispatched = sim.events_dispatched();
-  result.predicted_delay = schedule->predicted_delay;
-  result.resolved_queue = resolved_queue;
-  if (observers.profile_des) {
-    result.profile = sim.profile();
-    result.profile_active = true;
-  }
-  timings.total_seconds = total_watch.ElapsedSeconds();
-  result.timings = timings;
-  return result;
 }
 
 obs::RunReport MakePopulationRunReport(const MultiClientParams& params,

@@ -1,5 +1,5 @@
 /// \file multi_client.h
-/// \brief Simulating a heterogeneous client population on one broadcast.
+/// \brief Describing a heterogeneous client population on one broadcast.
 ///
 /// Section 3 of the paper: "tuning the performance of the broadcast is a
 /// zero-sum game; improving the broadcast for any one access probability
@@ -8,7 +8,9 @@
 /// Noise; this module models it directly: any number of clients, each with
 /// its own access distribution, cache and policy, all listening to the
 /// same channel (a broadcast never contends, so clients interact only
-/// through how well the program fits each of them).
+/// through how well the program fits each of them). This header holds the
+/// population's parameters, results and report; the sharded engine in
+/// pop/engine.h runs it.
 ///
 /// Client heterogeneity is expressed with `interest_shift`: client c's
 /// hottest logical page corresponds to physical page `interest_shift`, so
@@ -217,18 +219,14 @@ struct MultiClientResult {
   bool profile_active = false;
 };
 
-/// \brief Runs the population against one shared broadcast.
-/// Deterministic in `params.seed`.
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params);
-
-/// \brief Same, with observability hooks attached. Trace records carry
-/// each issuer's client index; timeline spans land on per-client tracks;
-/// the stats stream samples population-wide totals. As in the
-/// single-client runner, only the stats sampler adds DES events — every
-/// other observer leaves the run bit-identical.
-Result<MultiClientResult> RunMultiClientSimulation(
-    const MultiClientParams& params, const SimObservers& observers);
+/// \brief The population a single-client configuration describes:
+/// \p clients copies of \p base's client (access distribution, cache,
+/// policy and its options, think time, offset and noise) whose interest
+/// shifts are spread evenly over the database (client c's shift is
+/// DBSize * c / clients), sharing \p base's server, run-length, fault,
+/// pull and adaptation knobs. Run it with pop::RunPopulationSimulation.
+MultiClientParams PopulationFromSimParams(const SimParams& base,
+                                          uint64_t clients);
 
 /// \brief Renders a population run as a run report (mode "population"):
 /// aggregate counts and distributions plus per-population fairness

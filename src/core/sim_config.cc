@@ -108,14 +108,14 @@ void SimConfig::RegisterFlags(FlagSet* flags) {
                  "re-run the schedule optimizer each epoch on measured "
                  "access frequencies (demotes as well as promotes)");
   flags->AddUint64("shards", &pop.shards,
-                   "population worker shards (1 = classic single-threaded "
-                   "path; results are shard-count invariant)");
+                   "population worker shards (threads; results are "
+                   "shard-count invariant)");
   flags->AddString("pop_classes", &pop_classes,
                    "receiver classes \"name:frac[:loss_scale[:doze_scale]]"
                    ",...\" (population mode)");
-  flags->AddBool("force_pop_engine", &pop.force_engine,
-                 "route population runs through the sharded engine even "
-                 "with --shards=1");
+  flags->AddBool("force_pop_engine", &force_pop_engine,
+                 "no-op, accepted for old command lines: population mode "
+                 "always runs the sharded engine");
   flags->AddUint64("seed", &params.seed, "master RNG seed");
 }
 

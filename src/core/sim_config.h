@@ -40,9 +40,9 @@ struct SimConfig {
   /// it, string-typed fields below are parsed into it by `Finalize`.
   SimParams params;
 
-  /// Population-engine knobs (`--shards`, `--pop_classes`,
-  /// `--force_pop_engine`); `pop.clients` is stamped by the tool from its
-  /// population-size flag. Only population-mode tools consult this.
+  /// Population-engine knobs (`--shards`, `--pop_classes`);
+  /// `pop.clients` is stamped by the tool from its population-size flag.
+  /// Only population-mode tools consult this.
   pop::PopParams pop;
 
   /// \name Raw string-typed fields (flag syntax), parsed by `Finalize`.
@@ -56,6 +56,10 @@ struct SimConfig {
   std::string crash_cache = "warm";     ///< warm | cold (restart cache fate)
   std::string pop_classes;  ///< "name:frac[:loss[:doze]],..." receiver classes
   /// @}
+
+  /// `--force_pop_engine`: accepted and ignored (population mode always
+  /// runs the engine); kept so existing command lines still parse.
+  bool force_pop_engine = false;
 
   /// Registers every simulation flag on \p flags, bound to this config.
   /// The config must outlive the FlagSet's Parse call.

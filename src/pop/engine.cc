@@ -22,7 +22,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "core/client_world.h"
 #include "des/simulation.h"
 #include "fault/fault_model.h"
 #include "obs/stats_stream.h"
@@ -36,7 +35,7 @@
 namespace bcast::pop {
 namespace {
 
-// Sub-stream tag of the random-program draw (matches multi_client.cc).
+// Sub-stream tag of the random-program draw.
 constexpr uint64_t kProgramStream = 3;
 
 /// K parked worker threads, one per shard, driven in lock-step rounds.
@@ -112,8 +111,8 @@ class WorkerPool {
 };
 
 /// Lazily-built per-client uplink loss draw state; the coordinator owns
-/// every stream, so draw order per client is its submit order — exactly
-/// the legacy order (a client has at most one request outstanding). The
+/// every stream, so draw order per client is its submit order (a client
+/// has at most one request outstanding), whatever the shard count. The
 /// stream is keyed by (fault seed, client, kUplink), so when it is built
 /// cannot change its draws.
 struct UplinkDraw {
@@ -138,15 +137,15 @@ Result<MultiClientResult> RunPopulationSimulation(
   BCAST_RETURN_IF_ERROR(params.Validate());
   BCAST_RETURN_IF_ERROR(pop.Validate());
   const uint64_t n_clients = params.clients.size();
-  const uint64_t n_shards =
-      std::min<uint64_t>(pop.shards > 0 ? pop.shards : 1, n_clients);
+  PopParams layout_pop = pop;
+  layout_pop.clients = n_clients;
+  const uint64_t n_shards = layout_pop.EffectiveShards();
 
   const Rng master(params.seed);
-  // Same schedule construction as RunMultiClientSimulation: the
-  // configured optimizer designs layout and program together (with pull
-  // the air carries the hybrid program built from the optimizer's
-  // layout), so the engine and the legacy runner race identical
-  // schedules.
+  // The configured optimizer designs layout and program together. With
+  // active pull params the air carries the hybrid program: the
+  // optimizer's program with pull slots interleaved into every minor
+  // cycle (slot-identical to the plain program when pull_slots == 0).
   pull::HybridLayout hybrid_layout;
   Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
     obs::ScopedTimer timer(&timings.build_program_seconds);
@@ -314,9 +313,9 @@ Result<MultiClientResult> RunPopulationSimulation(
 
   // Merged DES event count: shard events minus engine infrastructure
   // (delivery mirrors; all but the longest version-tick chain, which
-  // stands in for the legacy single chain) plus the server simulation's
-  // own events. On uncoupled configurations this equals the legacy
-  // single-simulation count exactly.
+  // stands in for one population-wide chain) plus the server
+  // simulation's own events. On uncoupled configurations this equals
+  // the count of one simulation holding every client, whatever K is.
   auto merged_events = [&]() {
     uint64_t events = server_sim.events_dispatched();
     uint64_t max_vticks = 0;
@@ -328,9 +327,11 @@ Result<MultiClientResult> RunPopulationSimulation(
     return events + max_vticks;
   };
 
-  // The population stats sampler (see RunMultiClientSimulation): same
-  // fields, but sampled by the coordinator at round barriers — it adds
-  // no DES events to any simulation.
+  // The population stats sampler: one snapshot aggregates every
+  // client's totals — the same view MakePopulationRunReport summarizes,
+  // so a stream summary reproduces the report's headline numbers. The
+  // coordinator samples at round barriers on a fixed grid, so it adds no
+  // DES events to any simulation.
   const bool stats_on = observers.stats != nullptr;
   const double stats_interval =
       stats_on ? std::max(observers.stats_interval, 1.0) : 0.0;
@@ -560,8 +561,9 @@ Result<MultiClientResult> RunPopulationSimulation(
       pending_switches.clear();
       pending_mirrors.clear();
     }
-    // The one legacy stats tick that survives every client (scheduled
-    // while someone was still running): sampled at its grid time.
+    // The grid sample armed while some client was still running but due
+    // after the last one finished: sampled at its grid time (which
+    // rounds end_time up to it).
     if (stats_armed && stats_on) {
       take_stats_sample(false, next_stats);
       last_stats_time = next_stats;
@@ -642,11 +644,11 @@ void AppendPopulationExtras(const PopParams& pop,
                             obs::RunReport* report) {
   const uint64_t n = result.per_client.size();
   if (n == 0) return;
-  const uint64_t shards = std::min<uint64_t>(
-      pop.shards > 0 ? pop.shards : 1, n);
+  PopParams layout_pop = pop;
+  layout_pop.clients = n;
   report->extra.emplace_back("pop_clients", static_cast<double>(n));
-  report->extra.emplace_back("pop_shards", static_cast<double>(shards));
-  report->extra.emplace_back("pop_engine", pop.UseEngine() ? 1.0 : 0.0);
+  report->extra.emplace_back(
+      "pop_shards", static_cast<double>(layout_pop.EffectiveShards()));
 
   // The heaviest single client: its total accumulated measured wait.
   double max_flow = 0.0;

@@ -24,26 +24,27 @@
 /// no coupling at all: the engine runs one round to completion, shards
 /// fully parallel.
 ///
+/// This is the only population runner: `bcastsim --mode=population`,
+/// the chaos harness and the benches all run it, on `--shards` threads.
+///
 /// Determinism contract:
 ///   - Results are **shard-count invariant**: any K produces the same
 ///     `MultiClientResult` (and report) bit for bit. Per-client state is
 ///     keyed by client id, merges fold in ascending client order, and
 ///     the replay order above does not mention shards.
-///   - On *uncoupled* configurations the engine is additionally
-///     **bit-identical to `RunMultiClientSimulation`** (golden-proven):
-///     the same client worlds run the same events, and the merged
-///     event count reconstructs the single-sim count exactly.
-///   - On coupled configurations the engine is its own (deterministic,
-///     K-invariant) reference: barrier replay resolves equal-timestamp
-///     races by (time, client id) where the single simulation resolves
-///     them by event sequence number, so e.g. a timeout re-request
-///     landing exactly on a decision slot may order differently than
-///     legacy. `--shards=1` without `force_engine` therefore routes
-///     through the legacy path, which stays the compatibility anchor.
+///   - On *uncoupled* configurations (no pull, no adaptation; faults
+///     allowed) the engine reproduces the goldens recorded by the deleted
+///     single-simulation runner bit for bit
+///     (`tests/baselines/legacy_population/`): the same client worlds run
+///     the same events, and the merged event count reconstructs the
+///     single-simulation count exactly.
+///   - On coupled configurations barrier replay resolves
+///     equal-timestamp races by (time, client id), where one simulation
+///     holding every client would resolve them by event sequence number
+///     (e.g. a timeout re-request landing exactly on a decision slot).
 ///   - Stats-stream samples are taken at barriers by the coordinator
-///     and add **no** DES events (the legacy sampler adds kStats
-///     events), so `events_dispatched` of a stats-observed engine run
-///     matches the unobserved run, not the legacy stats-observed one.
+///     and add **no** DES events, so `events_dispatched` of a
+///     stats-observed run matches the unobserved run.
 
 #ifndef BCAST_POP_ENGINE_H_
 #define BCAST_POP_ENGINE_H_
@@ -68,7 +69,7 @@ Result<MultiClientResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop);
 
 /// \brief Appends population-engine extras to a population report:
-/// engine identity (`pop_clients`, `pop_shards`, `pop_engine`),
+/// engine identity (`pop_clients`, `pop_shards`),
 /// population fairness (`pop_max_flow_time` — the largest total measured
 /// wait any client accumulated; `pop_stretch_max` — worst per-class mean
 /// response time over the population mean; `pop_worst_class_p99`), and

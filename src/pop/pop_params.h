@@ -16,6 +16,7 @@
 #ifndef BCAST_POP_POP_PARAMS_H_
 #define BCAST_POP_POP_PARAMS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,31 +37,22 @@ struct ClassProfile {
 /// \brief Population-engine knobs, carried next to the simulation
 /// parameters in `SimConfig`.
 struct PopParams {
-  /// Population size. 1 keeps the classic single-client path.
+  /// Population size.
   uint64_t clients = 1;
 
-  /// Worker shards. 1 (the default) routes population runs through the
-  /// legacy single-threaded `RunMultiClientSimulation` unless
-  /// `force_engine` is set; shard-count invariance makes the choice
-  /// observable only in wall-clock time.
+  /// Worker shards (threads). Results are invariant in the shard count,
+  /// so the choice is observable only in wall-clock time.
   uint64_t shards = 1;
-
-  /// Route even single-shard runs through the engine (tests and the
-  /// shard-count matrix use this; reports are identical either way on
-  /// uncoupled configs).
-  bool force_engine = false;
 
   /// Receiver classes; empty means one homogeneous default class.
   /// Fractions must sum to at most 1 (any remainder joins the last
   /// class).
   std::vector<ClassProfile> classes;
 
-  /// Whether this run uses the sharded engine.
-  bool UseEngine() const { return force_engine || shards > 1; }
-
-  /// Shards actually spun up (never more than clients).
+  /// Shards actually spun up: `shards`, at least 1 and never more than
+  /// `clients`.
   uint64_t EffectiveShards() const {
-    return shards < clients ? (shards > 0 ? shards : 1) : (clients > 0 ? clients : 1);
+    return std::max<uint64_t>(1, std::min(shards, clients));
   }
 
   Status Validate() const;

@@ -8,9 +8,9 @@
 /// agree bit-for-bit), a `ShardPullHub` standing in for the pull
 /// server's air side, and a private `adapt::LossMonitor` its receivers
 /// report into without synchronization. The shard's client range is a
-/// contiguous block of ids, each built by the shared
-/// `BuildClientWorld` assembly from the same (client id, purpose)-keyed
-/// randomness as the single-threaded path.
+/// contiguous block of ids, each built from (client id, purpose)-keyed
+/// randomness, so a client's world does not depend on which shard owns
+/// it.
 ///
 /// The engine drives a shard in *rounds*: the coordinator writes the
 /// round's mailbox (pending program switch, pending pull-delivery
@@ -31,18 +31,36 @@
 #include "broadcast/channel.h"
 #include "broadcast/disk_config.h"
 #include "broadcast/program.h"
+#include "cache/cache_policy.h"
+#include "client/access_generator.h"
+#include "client/client.h"
+#include "client/mapping.h"
 #include "common/rng.h"
-#include "core/client_world.h"
 #include "core/multi_client.h"
+#include "core/simulator.h"
 #include "des/simulation.h"
+#include "fault/fault_model.h"
 #include "fault/process_faults.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "pop/client_store.h"
 #include "pop/pull_hub.h"
 #include "pull/hybrid.h"
+#include "pull/pull_client.h"
 
 namespace bcast::pop {
+
+/// \brief One client's private machinery, in index-stable storage so the
+/// spawned coroutine can reference it.
+struct ClientWorld {
+  std::unique_ptr<Mapping> mapping;
+  std::unique_ptr<AccessGenerator> gen;
+  std::unique_ptr<SimCatalog> catalog;
+  std::unique_ptr<CachePolicy> cache;
+  std::unique_ptr<fault::Receiver> receiver;  // null when faults are off
+  std::unique_ptr<pull::PullClient> pull;     // null when pull is off
+  std::unique_ptr<Client> client;
+};
 
 /// \brief Run-level context shared (read-only) by every shard.
 struct ShardShared {
@@ -66,8 +84,8 @@ class Shard {
   Shard(uint64_t index, uint64_t begin, uint64_t end,
         const ShardShared& shared, ClientStore* store);
 
-  /// Builds and spawns this shard's client worlds (identical randomness
-  /// and construction order to the legacy path), arms the shard-local
+  /// Builds and spawns this shard's client worlds (client c draws from
+  /// sub-stream 1000 + c of \p master), arms the shard-local
   /// schedule-version tick chain. Call once, before the first round.
   Status Build(const Rng& master);
 
@@ -126,6 +144,8 @@ class Shard {
   uint64_t mirrors_fired() const { return mirrors_fired_; }
 
  private:
+  /// Assembles global client \p c into \p out.
+  Status BuildWorld(uint64_t c, const Rng& master, ClientWorld* out);
   void ApplyMailbox();
 
   uint64_t index_;

@@ -10,6 +10,7 @@
 #include "adapt/access_monitor.h"
 #include "core/multi_client.h"
 #include "core/simulator.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -238,12 +239,12 @@ TEST(AdaptSimTest, PopulationRunAdaptsAndStaysDeterministic) {
     spec.policy = PolicyKind::kLru;
     params.clients.push_back(spec);
   }
-  auto result = RunMultiClientSimulation(params);
+  auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->adapt_active);
   EXPECT_GT(result->adapt_stats.epochs, 0u);
   EXPECT_GT(result->adapt_stats.promotions, 0u);
-  auto again = RunMultiClientSimulation(params);
+  auto again = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(result->adapt_stats.epochs, again->adapt_stats.epochs);
   EXPECT_EQ(result->adapt_stats.promotions,

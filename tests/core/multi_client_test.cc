@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/simulator.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -26,6 +27,12 @@ MultiClientParams SmallPopulation(size_t num_clients) {
     params.clients.push_back(spec);
   }
   return params;
+}
+
+// Runs \p params on the population engine with default engine knobs.
+Result<MultiClientResult> RunPopulation(
+    const MultiClientParams& params, const SimObservers& observers = {}) {
+  return pop::RunPopulationSimulation(params, pop::PopParams{}, observers);
 }
 
 TEST(MultiClientValidationTest, RejectsEmptyPopulation) {
@@ -95,7 +102,7 @@ TEST(MultiClientTest, PopulationNominalProbsIsTheHottestFirstMean) {
 TEST(MultiClientTest, KsyPopulationRunsAndRecordsProvenance) {
   MultiClientParams params = SmallPopulation(3);
   params.optimizer = "ksy";
-  auto result = RunMultiClientSimulation(params);
+  auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->predicted_delay, 0.0);
   const obs::RunReport report =
@@ -113,7 +120,7 @@ TEST(MultiClientTest, KsyPopulationRunsAndRecordsProvenance) {
 
 TEST(MultiClientTest, DeltaPopulationReportOmitsThePredictionExtra) {
   MultiClientParams params = SmallPopulation(2);
-  auto result = RunMultiClientSimulation(params);
+  auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   const obs::RunReport report =
       MakePopulationRunReport(params, *result, "cfg", "test");
@@ -127,14 +134,14 @@ TEST(MultiClientTest, AutoBackendResolvesByPopulationSize) {
   MultiClientParams small = SmallPopulation(3);
   small.des_queue = des::QueueBackend::kAuto;
   small.measured_requests = 200;
-  auto tiny = RunMultiClientSimulation(small);
+  auto tiny = RunPopulation(small);
   ASSERT_TRUE(tiny.ok());
   EXPECT_EQ(tiny->resolved_queue, des::QueueBackend::kHeap);
 
   MultiClientParams big = SmallPopulation(9);
   big.des_queue = des::QueueBackend::kAuto;
   big.measured_requests = 200;
-  auto large = RunMultiClientSimulation(big);
+  auto large = RunPopulation(big);
   ASSERT_TRUE(large.ok());
   EXPECT_EQ(large->resolved_queue, des::QueueBackend::kCalendar);
 
@@ -142,7 +149,7 @@ TEST(MultiClientTest, AutoBackendResolvesByPopulationSize) {
   MultiClientParams pinned = SmallPopulation(9);
   pinned.des_queue = des::QueueBackend::kHeap;
   pinned.measured_requests = 200;
-  auto heap = RunMultiClientSimulation(pinned);
+  auto heap = RunPopulation(pinned);
   ASSERT_TRUE(heap.ok());
   EXPECT_EQ(heap->resolved_queue, des::QueueBackend::kHeap);
   EXPECT_EQ(heap->response_across_clients.sum(),
@@ -154,8 +161,8 @@ TEST(MultiClientTest, OptimizerChoiceChangesTheScheduleDeterministically) {
   for (const char* name : {"ksy", "rbo"}) {
     MultiClientParams params = SmallPopulation(2);
     params.optimizer = name;
-    auto a = RunMultiClientSimulation(params);
-    auto b = RunMultiClientSimulation(params);
+    auto a = RunPopulation(params);
+    auto b = RunPopulation(params);
     ASSERT_TRUE(a.ok()) << name << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(a->response_across_clients.sum(),
@@ -166,7 +173,7 @@ TEST(MultiClientTest, OptimizerChoiceChangesTheScheduleDeterministically) {
 }
 
 TEST(MultiClientTest, EveryClientCompletes) {
-  auto result = RunMultiClientSimulation(SmallPopulation(4));
+  auto result = RunPopulation(SmallPopulation(4));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->per_client.size(), 4u);
   for (const ClientMetrics& m : result->per_client) {
@@ -179,7 +186,7 @@ TEST(MultiClientTest, EveryClientCompletes) {
 TEST(MultiClientTest, IdenticalClientsGetSimilarService) {
   // A broadcast never contends: identical specs (different RNG streams)
   // must see statistically similar response times.
-  auto result = RunMultiClientSimulation(SmallPopulation(4));
+  auto result = RunPopulation(SmallPopulation(4));
   ASSERT_TRUE(result.ok());
   const double spread = result->response_across_clients.max() -
                         result->response_across_clients.min();
@@ -187,8 +194,8 @@ TEST(MultiClientTest, IdenticalClientsGetSimilarService) {
 }
 
 TEST(MultiClientTest, DeterministicInSeed) {
-  auto a = RunMultiClientSimulation(SmallPopulation(3));
-  auto b = RunMultiClientSimulation(SmallPopulation(3));
+  auto a = RunPopulation(SmallPopulation(3));
+  auto b = RunPopulation(SmallPopulation(3));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->mean_response_times, b->mean_response_times);
@@ -198,8 +205,8 @@ TEST(MultiClientTest, AddingAClientDoesNotPerturbOthers) {
   // Client sub-streams are independent: client 0's request sequence (and
   // with a contention-free channel, its results) are identical whether or
   // not client 1 exists.
-  auto solo = RunMultiClientSimulation(SmallPopulation(1));
-  auto duo = RunMultiClientSimulation(SmallPopulation(2));
+  auto solo = RunPopulation(SmallPopulation(1));
+  auto duo = RunPopulation(SmallPopulation(2));
   ASSERT_TRUE(solo.ok());
   ASSERT_TRUE(duo.ok());
   EXPECT_DOUBLE_EQ(solo->mean_response_times[0],
@@ -217,7 +224,7 @@ TEST(MultiClientTest, AlignedClientBeatsShiftedClient) {
     spec.cache_size = 1;  // isolate the broadcast fit
     spec.policy = PolicyKind::kLru;
   }
-  auto result = RunMultiClientSimulation(params);
+  auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->mean_response_times[0],
             0.8 * result->mean_response_times[1]);
@@ -238,8 +245,8 @@ TEST(MultiClientTest, CachesShrinkTheFairnessGap) {
     spec.cache_size = 50;
     spec.policy = PolicyKind::kPix;
   }
-  auto without = RunMultiClientSimulation(no_cache);
-  auto with = RunMultiClientSimulation(cached);
+  auto without = RunPopulation(no_cache);
+  auto with = RunPopulation(cached);
   ASSERT_TRUE(without.ok());
   ASSERT_TRUE(with.ok());
   const double gap_without = without->mean_response_times[1] /
@@ -254,7 +261,7 @@ TEST(MultiClientTest, MixedPoliciesCoexist) {
   params.clients[0].policy = PolicyKind::kLru;
   params.clients[1].policy = PolicyKind::kPix;
   params.clients[2].policy = PolicyKind::kTwoQ;
-  auto result = RunMultiClientSimulation(params);
+  auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->per_client.size(), 3u);
 }
@@ -265,7 +272,7 @@ TEST(MultiClientTest, MatchesSingleClientSimulator) {
   // compare behaviourally: same config, similar response.)
   MultiClientParams multi = SmallPopulation(1);
   multi.measured_requests = 10000;
-  auto population = RunMultiClientSimulation(multi);
+  auto population = RunPopulation(multi);
   ASSERT_TRUE(population.ok());
 
   SimParams single;
@@ -284,9 +291,47 @@ TEST(MultiClientTest, MatchesSingleClientSimulator) {
               0.1 * solo->metrics.mean_response_time());
 }
 
+TEST(PopulationFromSimParamsTest, CarriesEveryClientKnob) {
+  SimParams base;
+  base.noise_percent = 30.0;
+  base.noise_scope = NoiseScope::kAllPages;
+  base.think_kind = ThinkTimeKind::kExponential;
+  base.policy = PolicyKind::kLix;
+  base.policy_options.lix.alpha = 0.5;
+  base.max_warmup_requests = 1234;
+  base.fault.loss = 0.05;
+  const MultiClientParams params = PopulationFromSimParams(base, 4);
+  EXPECT_EQ(params.max_warmup_requests, 1234u);
+  EXPECT_EQ(params.fault.loss, 0.05);
+  ASSERT_EQ(params.clients.size(), 4u);
+  for (size_t c = 0; c < 4; ++c) {
+    const ClientSpec& spec = params.clients[c];
+    EXPECT_EQ(spec.noise_scope, NoiseScope::kAllPages);
+    EXPECT_EQ(spec.think_kind, ThinkTimeKind::kExponential);
+    EXPECT_EQ(spec.policy, PolicyKind::kLix);
+    EXPECT_EQ(spec.policy_options.lix.alpha, 0.5);
+    EXPECT_EQ(spec.interest_shift, base.ServerDbSize() * c / 4);
+  }
+}
+
+TEST(PopulationFromSimParamsTest, NoiseScopeChangesThePopulation) {
+  // Noise drawn over the whole database perturbs other pages than noise
+  // drawn over the access range, so the population must see it.
+  SimParams base;
+  base.measured_requests = 2000;
+  base.noise_percent = 30.0;
+  auto range = RunPopulation(PopulationFromSimParams(base, 2));
+  base.noise_scope = NoiseScope::kAllPages;
+  auto all = RunPopulation(PopulationFromSimParams(base, 2));
+  ASSERT_TRUE(range.ok());
+  ASSERT_TRUE(all.ok());
+  EXPECT_NE(range->response_across_clients.mean(),
+            all->response_across_clients.mean());
+}
+
 TEST(MultiClientReportTest, CarriesPerClientResponseHistograms) {
   MultiClientParams params = SmallPopulation(3);
-  auto result = RunMultiClientSimulation(params);
+  auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   const obs::RunReport report =
       MakePopulationRunReport(params, *result, "cfg", "test");
@@ -318,7 +363,7 @@ TEST(MultiClientObserverTest, TraceRecordsCarryClientIndices) {
   obs::TraceSink trace(&trace_out, 1.0, obs::TraceFormat::kCsv, 7);
   SimObservers observers;
   observers.trace = &trace;
-  auto result = RunMultiClientSimulation(SmallPopulation(3), observers);
+  auto result = RunPopulation(SmallPopulation(3), observers);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(trace.recorded(), 0u);
 
@@ -339,7 +384,7 @@ TEST(MultiClientObserverTest, TraceRecordsCarryClientIndices) {
 }
 
 TEST(MultiClientObserverTest, ObserversDoNotPerturbThePopulation) {
-  auto plain = RunMultiClientSimulation(SmallPopulation(2));
+  auto plain = RunPopulation(SmallPopulation(2));
   ASSERT_TRUE(plain.ok());
 
   std::ostringstream timeline_out;
@@ -347,8 +392,7 @@ TEST(MultiClientObserverTest, ObserversDoNotPerturbThePopulation) {
   SimObservers observers;
   observers.timeline = &timeline;
   observers.profile_des = true;
-  auto observed =
-      RunMultiClientSimulation(SmallPopulation(2), observers);
+  auto observed = RunPopulation(SmallPopulation(2), observers);
   ASSERT_TRUE(observed.ok());
   timeline.Close();
 
@@ -389,7 +433,7 @@ TEST(MultiClientObserverTest, StatsStreamAggregatesThePopulation) {
   SimObservers observers;
   observers.stats = &stats;
   observers.stats_interval = 500.0;
-  auto result = RunMultiClientSimulation(SmallPopulation(3), observers);
+  auto result = RunPopulation(SmallPopulation(3), observers);
   ASSERT_TRUE(result.ok());
   ASSERT_GE(stats.samples_written(), 2u);
 

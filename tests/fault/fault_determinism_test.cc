@@ -10,6 +10,7 @@
 #include "core/multi_client.h"
 #include "core/simulator.h"
 #include "core/updates.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -129,8 +130,8 @@ TEST(FaultDeterminismTest, MultiClientFaultyRunsAreBitIdentical) {
     params.clients.push_back(spec);
   }
   params.fault.loss = 0.05;
-  auto a = RunMultiClientSimulation(params);
-  auto b = RunMultiClientSimulation(params);
+  auto a = pop::RunPopulationSimulation(params, pop::PopParams{});
+  auto b = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->faults_active);

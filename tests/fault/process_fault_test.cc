@@ -15,6 +15,7 @@
 #include "fault/fault_model.h"
 #include "fault/process_faults.h"
 #include "fault/recovery.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -253,8 +254,8 @@ TEST(ProcessFaultTest, MultiClientCrashesAreIndependentPerClient) {
   }
   params.fault.process.crash_every = 1500.0;
   params.fault.process.crash_down = 30.0;
-  auto a = RunMultiClientSimulation(params);
-  auto b = RunMultiClientSimulation(params);
+  auto a = pop::RunPopulationSimulation(params, pop::PopParams{});
+  auto b = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->faults_active);

@@ -20,6 +20,7 @@
 #include "core/simulator.h"
 #include "core/updates.h"
 #include "obs/run_report.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -139,27 +140,9 @@ TEST(BackendIdentityTest, PopulationGoldenIsBitIdentical) {
   const des::QueueBackend backends[2] = {des::QueueBackend::kHeap,
                                          des::QueueBackend::kCalendar};
   for (int b = 0; b < 2; ++b) {
-    MultiClientParams params;
-    params.disk_sizes = base.disk_sizes;
-    params.delta = base.delta;
-    params.measured_requests = base.measured_requests;
-    params.seed = base.seed;
+    MultiClientParams params = PopulationFromSimParams(base, 3);
     params.des_queue = backends[b];
-    const uint64_t db = params.ServerDbSize();
-    for (uint64_t c = 0; c < 3; ++c) {
-      ClientSpec spec;
-      spec.access_range = base.access_range;
-      spec.theta = base.theta;
-      spec.region_size = base.region_size;
-      spec.cache_size = base.cache_size;
-      spec.policy = base.policy;
-      spec.offset = base.offset;
-      spec.noise_percent = base.noise_percent;
-      spec.think_time = base.think_time;
-      spec.interest_shift = db * c / 3;
-      params.clients.push_back(spec);
-    }
-    auto result = RunMultiClientSimulation(params);
+    auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     bytes[b] = SimulationBytes(
         MakePopulationRunReport(params, *result, base.ToString(), "test"));

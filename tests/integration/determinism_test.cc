@@ -9,6 +9,7 @@
 #include "core/multi_client.h"
 #include "core/simulator.h"
 #include "core/updates.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -122,8 +123,8 @@ TEST(DeterminismTest, MultiClientRunsAreBitIdentical) {
     spec.interest_shift = shift;
     params.clients.push_back(spec);
   }
-  auto a = RunMultiClientSimulation(params);
-  auto b = RunMultiClientSimulation(params);
+  auto a = pop::RunPopulationSimulation(params, pop::PopParams{});
+  auto b = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->mean_response_times, b->mean_response_times);

@@ -41,7 +41,6 @@ TEST(AdaptGrowTest, SustainedBacklogGrowsThePullSplit) {
     PopParams pop;
     pop.clients = params.clients.size();
     pop.shards = k;
-    pop.force_engine = true;
     auto result = RunPopulationSimulation(params, pop);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const adapt::AdaptStats& stats = result->adapt_stats;
@@ -59,7 +58,6 @@ TEST(AdaptGrowTest, ScenarioReportPassesTheRequireGrowGate) {
   PopParams pop;
   pop.clients = 8;
   pop.shards = 2;
-  pop.force_engine = true;
 
   MultiClientParams anchor_params = BacklogScenario();
   anchor_params.adapt.epoch_cycles = 0;  // static anchor

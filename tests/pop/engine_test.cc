@@ -129,7 +129,7 @@ TEST(PopulationEngineTest, AppendsPopulationAndClassExtras) {
 
   EXPECT_EQ(ExtraOr(report, "pop_clients", -1.0), 8.0);
   EXPECT_EQ(ExtraOr(report, "pop_shards", -1.0), 2.0);
-  EXPECT_EQ(ExtraOr(report, "pop_engine", -1.0), 1.0);
+  EXPECT_EQ(ExtraOr(report, "pop_engine", -1.0), -1.0);  // retired extra
   EXPECT_EQ(ExtraOr(report, "class0_near_clients", -1.0), 4.0);
   EXPECT_EQ(ExtraOr(report, "class1_far_clients", -1.0), 4.0);
   EXPECT_GT(ExtraOr(report, "pop_max_flow_time", -1.0), 0.0);
@@ -181,10 +181,8 @@ TEST(PopulationEngineTest, StatsStreamCarriesPopulationFields) {
 TEST(PopulationEngineTest, StatsObservationDoesNotPerturbTheRun) {
   // The engine samples at barriers without scheduling DES events, so an
   // observed run reports the same simulation as an unobserved one. The
-  // sole exception is `end_time`: the last surviving grid tick rounds
-  // the clock up to its sample time, exactly as the legacy sampler's
-  // final kStats event does (legacy additionally inflates
-  // events_dispatched, which the engine does not).
+  // sole exception is `end_time`: the last surviving grid sample rounds
+  // the clock up to its sample time.
   MultiClientParams params = MakePopulation(6);
   PopParams pop;
   pop.clients = 6;

@@ -84,15 +84,13 @@ TEST(PopParamsValidateTest, RejectsBadClassProfiles) {
 TEST(PopParamsTest, UseEngineAndEffectiveShards) {
   PopParams pop;
   pop.clients = 10;
-  EXPECT_FALSE(pop.UseEngine());  // shards=1, not forced: legacy path
-  pop.force_engine = true;
-  EXPECT_TRUE(pop.UseEngine());
-  pop.force_engine = false;
+  EXPECT_EQ(pop.EffectiveShards(), 1u);
   pop.shards = 4;
-  EXPECT_TRUE(pop.UseEngine());
   EXPECT_EQ(pop.EffectiveShards(), 4u);
   pop.shards = 64;  // never more shards than clients
   EXPECT_EQ(pop.EffectiveShards(), 10u);
+  pop.shards = 0;  // never fewer than one
+  EXPECT_EQ(pop.EffectiveShards(), 1u);
 }
 
 TEST(ShardBeginTest, PartitionIsContiguousBalancedAndComplete) {

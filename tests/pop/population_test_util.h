@@ -16,8 +16,8 @@ namespace bcast::pop_test {
 
 // A small heterogeneous population: N clients with interest shifts
 // spread across a {100, 200} two-disk database. 500 measured requests
-// per client keeps a full differential run (engine + legacy, several
-// shard counts) well under a second.
+// per client keeps a full differential run (several shard counts)
+// well under a second.
 inline MultiClientParams MakePopulation(uint64_t n) {
   MultiClientParams params;
   params.disk_sizes = {100, 200};

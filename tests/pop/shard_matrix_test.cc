@@ -1,7 +1,7 @@
 // Shard-count invariance matrix (the engine's determinism contract):
 // for each golden configuration, every shard count in {1, 2, 7} and
 // both DES queue backends must produce the same report, byte for byte,
-// after wall-clock normalization. Unlike the engine-vs-legacy
+// after wall-clock normalization. Unlike the engine-vs-golden
 // differential (engine_test.cc), this holds on *coupled* configurations
 // too — pull and adaptation included — because the barrier replay order
 // never mentions shards.
@@ -76,7 +76,6 @@ TEST(ShardMatrixTest, ReportsInvariantInShardCountAndBackend) {
         PopParams pop;
         pop.clients = kClients;
         pop.shards = k;
-        pop.force_engine = true;
         auto result = RunPopulationSimulation(params, pop);
         ASSERT_TRUE(result.ok()) << result.status().ToString();
         obs::RunReport report =
@@ -104,7 +103,6 @@ TEST(ShardMatrixTest, ClassProfilesStayShardInvariant) {
   base.fault.loss = 0.08;
   PopParams pop;
   pop.clients = kClients;
-  pop.force_engine = true;
   pop.classes = *ParseClassProfiles("near:0.4:0.5,far:0.6:2");
   ApplyClassProfiles(pop.classes, &base.clients);
   std::string reference;

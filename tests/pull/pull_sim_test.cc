@@ -20,6 +20,7 @@
 #include "pull/hybrid.h"
 #include "pull/pull_client.h"
 #include "pull/pull_server.h"
+#include "pop/engine.h"
 
 namespace bcast {
 namespace {
@@ -276,7 +277,7 @@ TEST(PullSimTest, PopulationRunAccumulatesSharedServerStats) {
   }
   params.pull.pull_slots = 2;
   params.pull.threshold = 50.0;
-  auto result = RunMultiClientSimulation(params);
+  auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->pull_active);
   EXPECT_GT(result->pull_stats.requests_attempted, 0u);
@@ -285,7 +286,7 @@ TEST(PullSimTest, PopulationRunAccumulatesSharedServerStats) {
             result->pull_stats.requests_attempted +
                 result->pull_stats.re_requests);
   // Determinism holds for the population too.
-  auto again = RunMultiClientSimulation(params);
+  auto again = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(result->pull_stats.requests_attempted,
             again->pull_stats.requests_attempted);

@@ -66,46 +66,16 @@ void MaybeRecordBackend(obs::RunReport* report, bool record,
       backend == des::QueueBackend::kCalendar ? 1.0 : 0.0);
 }
 
-// Runs the population mode: `clients` specs whose interests are spread
-// evenly across the database. `pop` (clients already stamped) selects
-// the execution engine: the classic single-threaded runner, or the
-// sharded multi-threaded engine when `--shards` > 1 or
-// `--force_pop_engine` is set — results are shard-count invariant.
+// Runs the population mode on the sharded engine: `pop.clients` copies
+// of the configured client whose interests are spread evenly across the
+// database, on `pop.shards` threads — results are shard-count invariant.
 int RunPopulation(const SimParams& base, const pop::PopParams& pop,
                   const std::string& report_out,
                   const SimObservers& observers,
                   bool record_des_queue) {
-  const uint64_t clients = pop.clients;
-  MultiClientParams params;
-  params.disk_sizes = base.disk_sizes;
-  params.delta = base.delta;
-  params.rel_freqs = base.rel_freqs;
-  params.program_kind = base.program_kind;
-  params.optimizer = base.optimizer;
-  params.measured_requests = base.measured_requests;
-  params.seed = base.seed;
-  const uint64_t db = params.ServerDbSize();
-  for (uint64_t c = 0; c < clients; ++c) {
-    ClientSpec spec;
-    spec.access_range = base.access_range;
-    spec.theta = base.theta;
-    spec.region_size = base.region_size;
-    spec.cache_size = base.cache_size;
-    spec.policy = base.policy;
-    spec.offset = base.offset;
-    spec.noise_percent = base.noise_percent;
-    spec.think_time = base.think_time;
-    spec.interest_shift = clients > 1 ? db * c / clients : 0;
-    params.clients.push_back(spec);
-  }
-  params.fault = base.fault;
-  params.pull = base.pull;
-  params.adapt = base.adapt;
-  params.des_queue = base.des_queue;
+  MultiClientParams params = PopulationFromSimParams(base, pop.clients);
   pop::ApplyClassProfiles(pop.classes, &params.clients);
-  auto result = pop.UseEngine()
-                    ? pop::RunPopulationSimulation(params, pop, observers)
-                    : RunMultiClientSimulation(params, observers);
+  auto result = pop::RunPopulationSimulation(params, pop, observers);
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
     return 1;
@@ -138,9 +108,7 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
   if (!report_out.empty()) {
     obs::RunReport report = MakePopulationRunReport(
         params, *result, base.ToString(), "bcastsim");
-    if (pop.UseEngine()) {
-      pop::AppendPopulationExtras(pop, *result, &report);
-    }
+    pop::AppendPopulationExtras(pop, *result, &report);
     MaybeRecordBackend(&report, record_des_queue, result->resolved_queue);
     if (!MaybeWriteReport(report, report_out)) return 1;
   }
@@ -286,6 +254,34 @@ int Run(int argc, const char* const* argv) {
   }
   SimParams& params = config.params;
 
+  if (mode != "single" && mode != "population" && mode != "updates") {
+    std::cerr << "unknown --mode: " << mode << "\n";
+    return 2;
+  }
+  // A flag only another mode reads would be silently ignored: refuse it.
+  std::string misplaced;
+  if (mode != "population") {
+    for (const char* name : {"shards", "pop_classes", "force_pop_engine"}) {
+      if (flags.WasSet(name)) {
+        misplaced = std::string("--") + name +
+                    " applies to --mode=population only";
+        break;
+      }
+    }
+  }
+  if (misplaced.empty() && mode != "single" && flags.WasSet("seeds")) {
+    misplaced = "--seeds averages --mode=single runs only";
+  }
+  if (misplaced.empty() && mode == "population" &&
+      flags.WasSet("knows_schedule")) {
+    misplaced = "--knows_schedule is a single-client knob; population "
+                "clients have no such setting";
+  }
+  if (!misplaced.empty()) {
+    std::cerr << misplaced << "\n\n" << flags.HelpText();
+    return 2;
+  }
+
   if (mode == "updates" &&
       (!trace_out.empty() || !trace_timeline.empty() ||
        !stats_out.empty() || profile_des)) {
@@ -297,11 +293,6 @@ int Run(int argc, const char* const* argv) {
     return RunUpdates(params, update_rate, update_theta, consistency,
                       report_out, record_des_queue);
   }
-  if (mode != "single" && mode != "population") {
-    std::cerr << "unknown --mode: " << mode << "\n";
-    return 2;
-  }
-
   // Observability: one registry, and (optionally) one trace sink, one
   // timeline, and one stats stream shared across all seeds. All of them
   // apply to single and population runs alike.
