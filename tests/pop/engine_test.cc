@@ -129,7 +129,6 @@ TEST(PopulationEngineTest, AppendsPopulationAndClassExtras) {
 
   EXPECT_EQ(ExtraOr(report, "pop_clients", -1.0), 8.0);
   EXPECT_EQ(ExtraOr(report, "pop_shards", -1.0), 2.0);
-  EXPECT_EQ(ExtraOr(report, "pop_engine", -1.0), -1.0);  // retired extra
   EXPECT_EQ(ExtraOr(report, "class0_near_clients", -1.0), 4.0);
   EXPECT_EQ(ExtraOr(report, "class1_far_clients", -1.0), 4.0);
   EXPECT_GT(ExtraOr(report, "pop_max_flow_time", -1.0), 0.0);
