@@ -32,8 +32,8 @@ using pop_test::SimulationBytes;
 // The checked-in report (SimulationBytes form) the single-simulation
 // runner produced for this configuration before it was deleted.
 std::string GoldenBytes(const std::string& name) {
-  const std::string path =
-      std::string(BCAST_BASELINE_DIR) + "/legacy_population/" + name + ".json";
+  const std::string path = std::string(BCAST_BASELINE_DIR) +
+                           "/legacy_population/" + name + ".json";
   std::ifstream in(path);
   EXPECT_TRUE(in.good()) << "missing golden " << path;
   std::ostringstream bytes;
