@@ -88,7 +88,8 @@ class BroadcastChannel {
         : channel_(channel), page_(page), receiver_(receiver) {}
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h);
+    /// False when an ideal-channel wait continues inline (no suspension).
+    bool await_suspend(std::coroutine_handle<> h);
     /// Returns the wait duration in broadcast units.
     double await_resume() const noexcept { return wait_; }
 
@@ -167,6 +168,12 @@ class BroadcastChannel {
   }
   double ArrivalEnd(PageId p, double t) const {
     return origin_ + program_->NextArrivalEnd(p, t - origin_);
+  }
+
+  // Books one completed delivery of \p p in the service statistics.
+  void CountServed(PageId p) {
+    ++served_per_disk_[program_->DiskOf(p)];
+    ++total_served_;
   }
 
   des::Simulation* sim_;

@@ -18,6 +18,22 @@
 ///   sim.Spawn(Client(&sim));
 ///   sim.Run();
 /// \endcode
+///
+/// **Tail resumption.** Most wakeups are an event whose callback does
+/// nothing but resume one process — a `Delay` expiring, an ideal
+/// broadcast slot arriving, a spawned process starting. Such callbacks
+/// resume through `ResumeTail`, which marks the process as the event's
+/// tail. When that process next awaits a wakeup at time t and nothing
+/// can run before it — t is strictly earlier than the pending-set head,
+/// not past the `RunUntil` horizon, and `Stop()` was not called — the
+/// awaiter skips the queue: the clock advances to t, one event of the
+/// wakeup's kind is counted as dispatched, and the process continues
+/// without suspending. Equal-time wakeups still queue, so the (time,
+/// schedule order) contract holds, and `events_dispatched()`, the
+/// per-kind profile counts and every report are exactly those of the
+/// queued path. The gate is the owning frame, not just the head time: a
+/// callback that resumes several processes in a row must not let the
+/// first one run ahead of the others.
 
 #ifndef BCAST_DES_SIMULATION_H_
 #define BCAST_DES_SIMULATION_H_
@@ -42,9 +58,12 @@ class Simulation;
 ///
 /// Filled only when `Simulation::EnableProfiling()` was called: each
 /// dispatched event adds one to its kind's count and its wall-clock
-/// duration to the kind's cumulative nanoseconds. Profiling measures
-/// the host, never the simulation — enabling it cannot change event
-/// order, timing, or randomness.
+/// duration to the kind's cumulative nanoseconds. A wakeup that
+/// continued inline (see "Tail resumption" above) counts as one
+/// dispatch of its kind but has no nanoseconds of its own: its host
+/// time lands in the kind of the event whose callback resumed the
+/// process. Profiling measures the host, never the simulation —
+/// enabling it cannot change event order, timing, or randomness.
 struct DesProfile {
   struct KindStats {
     uint64_t dispatches = 0;
@@ -127,7 +146,8 @@ class DelayAwaiter {
   DelayAwaiter(Simulation* sim, double delay) : sim_(sim), delay_(delay) {}
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h);
+  /// False when the wakeup continues inline (no suspension).
+  bool await_suspend(std::coroutine_handle<> h);
   void await_resume() const noexcept {}
 
  private:
@@ -191,6 +211,33 @@ class Simulation {
   /// Suspends the calling process for \p delay (>= 0) simulated units.
   DelayAwaiter Delay(double delay) { return DelayAwaiter(this, delay); }
 
+  /// Resumes \p h as the last act of the running event's callback,
+  /// making it the event's tail: until the callback returns, its
+  /// wakeups may continue inline via `ContinueInline`. The caller must
+  /// do nothing after this returns — the tail may already have run
+  /// ahead of the clock the callback was dispatched at.
+  void ResumeTail(std::coroutine_handle<> h) {
+    tail_ = h.address();
+    h.resume();
+    tail_ = nullptr;
+  }
+
+  /// Called by an awaiter of frame \p h about to schedule its wakeup
+  /// at \p time (>= Now()) with \p kind. When \p h is the running
+  /// event's tail and nothing can run before \p time, advances the
+  /// clock to \p time, counts the wakeup as a dispatched event, and
+  /// returns true: the awaiter then continues without suspending.
+  /// Otherwise returns false and the awaiter must schedule as usual.
+  bool ContinueInline(std::coroutine_handle<> h, double time,
+                      EventKind kind) {
+    if (h.address() != tail_ || stopped_ || time > horizon_) return false;
+    if (!queue_.empty() && !(time < queue_.PeekTime())) return false;
+    now_ = time;
+    ++events_dispatched_;
+    if (profiling_) ++profile_.kinds[static_cast<size_t>(kind)].dispatches;
+    return true;
+  }
+
   /// Turns on per-event-kind dispatch profiling (count + wall-clock ns
   /// per kind, read back via `profile()`). Wall-clock only: enabling it
   /// cannot perturb the simulation.
@@ -232,6 +279,11 @@ class Simulation {
   bool stopped_ = false;
   bool running_ = false;
   bool profiling_ = false;
+  // The running loop's last dispatchable time: RunUntil's bound, or
+  // infinity under Run.
+  double horizon_ = 0.0;
+  // Frame resumed by the running event's ResumeTail, or nullptr.
+  void* tail_ = nullptr;
   uint64_t events_dispatched_ = 0;
   DesProfile profile_;
   obs::TimelineWriter* timeline_ = nullptr;
