@@ -1,5 +1,7 @@
 #include "core/experiment.h"
 
+#include <cstdlib>
+
 #include "common/csv.h"
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -22,6 +24,24 @@ Result<double> ReplicatedMean(const SimParams& params,
     sum += result->metrics.mean_response_time();
   }
   return sum / static_cast<double>(replications);
+}
+
+bool IsWhole(double x) { return x == static_cast<uint64_t>(x); }
+
+// Decimals for the non-integral entries of an x column: the fewest, at
+// least \p precision, that print every such x so it reads back exactly,
+// so neighbouring xs such as 0.05 and 0.1 keep distinct labels.
+int XDecimals(const std::vector<double>& xs, int precision) {
+  constexpr int kMaxDecimals = 6;
+  int decimals = precision;
+  for (double x : xs) {
+    if (IsWhole(x)) continue;
+    while (decimals < kMaxDecimals &&
+           std::strtod(FormatDouble(x, decimals).c_str(), nullptr) != x) {
+      ++decimals;
+    }
+  }
+  return decimals;
 }
 
 }  // namespace
@@ -75,6 +95,7 @@ void PrintXYTable(std::ostream& out, const std::string& title,
                   const std::string& x_name, const std::vector<double>& xs,
                   const std::vector<Series>& series, int precision) {
   out << title << "\n";
+  const int x_decimals = XDecimals(xs, precision);
   std::vector<std::string> headers{x_name};
   for (const Series& s : series) {
     BCAST_CHECK_EQ(s.y.size(), xs.size())
@@ -84,9 +105,7 @@ void PrintXYTable(std::ostream& out, const std::string& title,
   AsciiTable table(std::move(headers));
   for (size_t i = 0; i < xs.size(); ++i) {
     std::vector<std::string> row;
-    row.push_back(FormatDouble(xs[i], xs[i] == static_cast<uint64_t>(xs[i])
-                                          ? 0
-                                          : precision));
+    row.push_back(FormatDouble(xs[i], IsWhole(xs[i]) ? 0 : x_decimals));
     for (const Series& s : series) {
       row.push_back(FormatDouble(s.y[i], precision));
     }

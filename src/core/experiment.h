@@ -44,7 +44,9 @@ Result<RunningStat> ReplicateResponse(const SimParams& params,
                                       uint64_t num_seeds);
 
 /// \brief Prints "title", then an aligned table with column \p x_name and
-/// one column per series.
+/// one column per series. Integral xs print without decimals; the other
+/// xs share the fewest decimals (at least \p precision) that keep every
+/// x exact, so 0.05 and 0.1 print as "0.05" and "0.10".
 void PrintXYTable(std::ostream& out, const std::string& title,
                   const std::string& x_name, const std::vector<double>& xs,
                   const std::vector<Series>& series, int precision = 1);

@@ -70,6 +70,19 @@ TEST(PrintXYTableTest, IntegerXsPrintedWithoutDecimals) {
   EXPECT_NE(out.str().find(" 3"), std::string::npos) << out.str();
 }
 
+TEST(PrintXYTableTest, FractionalXsKeepDistinctLabels) {
+  std::ostringstream out;
+  PrintXYTable(out, "T", "alpha", {0.05, 0.1, 0.25, 2.0},
+               {{"S", {1.0, 2.0, 3.0, 4.0}}});
+  const std::string s = out.str();
+  // One shared width for the fractional xs, enough to tell 0.05 from 0.1;
+  // the y values keep the default one decimal.
+  for (const char* label : {"0.05", "0.10", "0.25", " 2 "}) {
+    EXPECT_NE(s.find(label), std::string::npos) << label << "\n" << s;
+  }
+  EXPECT_NE(s.find("1.0"), std::string::npos) << s;
+}
+
 TEST(PrintXYCsvTest, EmitsHeaderAndRows) {
   std::ostringstream out;
   PrintXYCsv(out, "delta", {0.0, 1.0}, {{"LRU", {10.0, 20.0}}}, 1);
