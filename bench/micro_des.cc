@@ -1,18 +1,10 @@
 // Microbenchmarks: the DES kernel's event throughput — raw callbacks,
-// cancellation, coroutine delay loops, and the churn-heavy steady state
-// the calendar queue exists for.
-//
-// The unsuffixed benchmarks run the session default backend (calendar,
-// or $BCAST_DES_QUEUE), so their names stay comparable against recorded
-// baselines from any vintage: `BCAST_DES_QUEUE=heap ./micro_des` measures
-// the heap path under the historical names, and the `_Backend/heap` /
-// `_Backend/calendar` captures measure both sides in one run for the
-// CI comparison artifact.
+// cancellation, coroutine delay loops, the timeout-churn steady state,
+// and pure push/pop at fixed pending-set sizes.
 
 #include <benchmark/benchmark.h>
 
 #include <deque>
-#include <vector>
 
 #include "common/rng.h"
 #include "des/event_queue.h"
@@ -71,86 +63,49 @@ BENCHMARK(BM_CoroutineDelays)->Arg(1000)->Arg(10000);
 // cancelled timeout stayed in the heap (and two hash sets) until the
 // clock reached it — never — so the heap grew without bound and every
 // push paid O(log garbage).
-void RunChurnMix(benchmark::State& state, des::EventQueue* q,
-                 size_t window) {
+void BM_ChurnMix(benchmark::State& state) {
+  const size_t window = static_cast<size_t>(state.range(0));
+  des::EventQueue q;
   Rng rng(7);
   std::deque<uint64_t> timeouts;
   double now = 0.0;
   // Prefill to the steady-state window.
   for (size_t i = 0; i < window; ++i) {
-    q->Push(now + 1.0 + static_cast<double>(rng.NextBounded(1000)), [] {});
-    timeouts.push_back(q->Push(now + 1e9, [] {}));
+    q.Push(now + 1.0 + static_cast<double>(rng.NextBounded(1000)), [] {});
+    timeouts.push_back(q.Push(now + 1e9, [] {}));
   }
   for (auto _ : state) {
-    q->Push(now + 1.0 + static_cast<double>(rng.NextBounded(1000)), [] {});
-    timeouts.push_back(q->Push(now + 1e9, [] {}));
-    benchmark::DoNotOptimize(q->Cancel(timeouts.front()));
+    q.Push(now + 1.0 + static_cast<double>(rng.NextBounded(1000)), [] {});
+    timeouts.push_back(q.Push(now + 1e9, [] {}));
+    benchmark::DoNotOptimize(q.Cancel(timeouts.front()));
     timeouts.pop_front();
     double t;
-    q->Pop(&t);
+    q.Pop(&t);
     now = t;
   }
   // 2 pushes + 1 cancel + 1 pop per iteration.
   state.SetItemsProcessed(state.iterations() * 4);
 }
-
-void BM_ChurnMix(benchmark::State& state) {
-  des::EventQueue q;
-  RunChurnMix(state, &q, static_cast<size_t>(state.range(0)));
-}
 BENCHMARK(BM_ChurnMix)->Arg(1024)->Arg(16384);
 
-void BM_ChurnMix_Backend(benchmark::State& state,
-                         des::QueueBackend backend) {
-  des::EventQueue q(backend);
-  RunChurnMix(state, &q, static_cast<size_t>(state.range(0)));
-}
-BENCHMARK_CAPTURE(BM_ChurnMix_Backend, heap, des::QueueBackend::kHeap)
-    ->Arg(1024)
-    ->Arg(16384);
-BENCHMARK_CAPTURE(BM_ChurnMix_Backend, calendar,
-                  des::QueueBackend::kCalendar)
-    ->Arg(1024)
-    ->Arg(16384);
-
 // Pure push/pop steady state at a fixed pending-set size.
-void RunSteadyState(benchmark::State& state, des::EventQueue* q) {
+void BM_SteadyState(benchmark::State& state) {
   const size_t window = static_cast<size_t>(state.range(0));
+  des::EventQueue q;
   Rng rng(13);
   double now = 0.0;
   for (size_t i = 0; i < window; ++i) {
-    q->Push(now + rng.NextExponential(500.0), [] {});
+    q.Push(now + rng.NextExponential(500.0), [] {});
   }
   for (auto _ : state) {
-    q->Push(now + rng.NextExponential(500.0), [] {});
+    q.Push(now + rng.NextExponential(500.0), [] {});
     double t;
-    q->Pop(&t);
+    q.Pop(&t);
     now = t;
   }
   state.SetItemsProcessed(state.iterations() * 2);
 }
-
-void BM_SteadyState(benchmark::State& state) {
-  des::EventQueue q;
-  RunSteadyState(state, &q);
-}
 BENCHMARK(BM_SteadyState)->Arg(8)->Arg(1024)->Arg(65536);
-
-// Both backends in one run (the CI calendar-vs-heap artifact).
-void BM_SteadyState_Backend(benchmark::State& state,
-                            des::QueueBackend backend) {
-  des::EventQueue q(backend);
-  RunSteadyState(state, &q);
-}
-BENCHMARK_CAPTURE(BM_SteadyState_Backend, heap, des::QueueBackend::kHeap)
-    ->Arg(8)
-    ->Arg(1024)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_SteadyState_Backend, calendar,
-                  des::QueueBackend::kCalendar)
-    ->Arg(8)
-    ->Arg(1024)
-    ->Arg(65536);
 
 }  // namespace
 }  // namespace bcast

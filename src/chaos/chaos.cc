@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "core/multi_client.h"
 #include "core/simulator.h"
-#include "des/pending_event_set.h"
 #include "pop/engine.h"
 #include "pop/pop_params.h"
 
@@ -380,41 +379,6 @@ ChaosOutcome RunScenario(const ChaosScenario& scenario,
     }
   }
   return outcome;
-}
-
-std::optional<ChaosViolation> CheckDisabledIdentity(
-    const ChaosScenario& scenario) {
-  // Strip the process axes; what remains must be byte-identical under
-  // both DES backends (and thereby identical to the pre-process-fault
-  // code path, which the goldens pin).
-  ChaosAxes stripped = scenario.axes;
-  stripped.crash = stripped.stall = stripped.jitter = stripped.version =
-      false;
-  ChaosScenario base = GenerateScenario(scenario.chaos_seed, stripped);
-  std::string bytes[2];
-  const des::QueueBackend backends[2] = {des::QueueBackend::kHeap,
-                                         des::QueueBackend::kCalendar};
-  for (int b = 0; b < 2; ++b) {
-    SimParams params = base.params;
-    params.des_queue = backends[b];
-    SimObservers observers;
-    observers.horizon = base.horizon;
-    Result<SimResult> result = RunSimulation(params, observers);
-    if (!result.ok()) {
-      return ChaosViolation{"disabled_identity",
-                            std::string(des::QueueBackendName(backends[b])) +
-                                " backend failed: " +
-                                result.status().ToString()};
-    }
-    bytes[b] =
-        DeterministicBytes(MakeRunReport(params, *result, "bcastchaos"));
-  }
-  if (bytes[0] != bytes[1]) {
-    return ChaosViolation{
-        "disabled_identity",
-        "heap and calendar reports differ with process faults stripped"};
-  }
-  return std::nullopt;
 }
 
 std::optional<ChaosViolation> CheckShardIdentity(

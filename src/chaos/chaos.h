@@ -120,14 +120,6 @@ ChaosOutcome RunScenario(const ChaosScenario& scenario,
                          const ReportMutator& mutate = nullptr,
                          obs::TimelineWriter* timeline = nullptr);
 
-/// \brief The disabled-axes bit-identity check: the scenario with every
-/// *process* axis (crash/stall/jitter/version) stripped must produce a
-/// byte-identical report under both DES backends — proving the new
-/// machinery is inert when off and the backends still agree. Returns the
-/// violation when the serialized reports differ.
-std::optional<ChaosViolation> CheckDisabledIdentity(
-    const ChaosScenario& scenario);
-
 /// \brief The shard-count bit-identity check for population scenarios:
 /// the scenario re-run single-sharded (K = 1, engine forced) must
 /// produce a byte-identical report to the drawn shard count — the

@@ -347,22 +347,6 @@ CheckList CheckReportInvariants(const obs::RunReport& report) {
              detail.str());
   }
 
-  // DES backend provenance, for reports produced under
-  // `bcastsim --record_des_queue`. Backends are bit-identical by
-  // contract, so this only records which one ran — and rejects a
-  // marker that is neither heap (0) nor calendar (1).
-  if (const auto backend = FindExtra(report, "des_queue_calendar")) {
-    const bool known = *backend == 0.0 || *backend == 1.0;
-    list.Add("report.des_queue_backend_known", known,
-             known ? std::string("produced by the ") +
-                         (*backend == 1.0 ? "calendar" : "heap") +
-                         " backend"
-                   : "des_queue_calendar=" + std::to_string(*backend) +
-                         ", expected 0 (heap) or 1 (calendar)");
-  } else {
-    list.Add("report.des_queue_backend_known", true, "not recorded");
-  }
-
   // Schedule-optimizer provenance. Reports predating the optimizer
   // frontier carry no marker and pass vacuously; a recorded name must be
   // one the registry knows.

@@ -32,7 +32,6 @@ MultiClientParams PopulationFromSimParams(const SimParams& base,
   params.measured_requests = base.measured_requests;
   params.max_warmup_requests = base.max_warmup_requests;
   params.seed = base.seed;
-  params.des_queue = base.des_queue;
   params.fault = base.fault;
   params.pull = base.pull;
   params.adapt = base.adapt;

@@ -127,9 +127,8 @@ struct MultiClientParams {
   /// Master seed; client c draws from independent sub-streams.
   uint64_t seed = 42;
 
-  /// Pending-event-set backend of the DES kernel (never semantic; see
-  /// SimParams::des_queue).
-  des::QueueBackend des_queue = des::DefaultQueueBackend();
+  /// Inert: nothing reads it (see SimParams::des_queue).
+  int des_queue = 0;
 
   /// Unreliable-channel knobs, shared by the population; each client
   /// gets its own receiver with (client id, purpose)-keyed fault
@@ -187,10 +186,6 @@ struct MultiClientResult {
   /// population's mean nominal distribution (0 for `delta`, which skips
   /// the prediction to keep its historical build path byte-for-byte).
   double predicted_delay = 0.0;
-
-  /// Pending-event-set backend the run actually used (`auto` resolved
-  /// against the population size).
-  des::QueueBackend resolved_queue = des::QueueBackend::kHeap;
 
   /// Channel-fault accounting merged over all clients; populated (and
   /// `faults_active` set) only when `params.fault.Active()`.

@@ -13,7 +13,6 @@
 #include "client/access_generator.h"
 #include "client/mapping.h"
 #include "common/status.h"
-#include "des/pending_event_set.h"
 #include "fault/fault_params.h"
 #include "pull/pull_params.h"
 
@@ -124,11 +123,9 @@ struct SimParams {
   /// request sequence.
   uint64_t seed = 42;
 
-  /// Pending-event-set backend of the DES kernel. An implementation
-  /// choice, never a semantic one: runs are bit-identical under heap and
-  /// calendar (golden-proven), so this field is excluded from ToString
-  /// and the config identity.
-  des::QueueBackend des_queue = des::DefaultQueueBackend();
+  /// Inert: nothing reads it. Kept only so bench/bcastbench/layers.cc,
+  /// which copies it into MultiClientParams, still compiles.
+  int des_queue = 0;
 
   // --- Channel faults (src/fault) ---
   /// Unreliable-channel knobs; inactive by default, in which case no

@@ -77,10 +77,6 @@ void SimConfig::RegisterFlags(FlagSet* flags) {
                    "backchannel requests accepted per broadcast slot");
   flags->AddString("pull_sched", &pull_sched,
                    "pull-slot scheduler: fcfs | mrf | lxw");
-  flags->AddString("des_queue", &des_queue,
-                   "DES pending-event backend: heap | calendar | auto "
-                   "(auto picks heap for tiny populations; default auto, "
-                   "or $BCAST_DES_QUEUE; never changes results)");
   flags->AddDouble("pull_threshold", &params.pull.threshold,
                    "request only when the scheduled wait exceeds this "
                    "many slots");
@@ -216,12 +212,6 @@ Status SimConfig::Finalize(const FlagSet* flags) {
   } else {
     return Status::InvalidArgument("unknown --crash_cache: " + crash_cache +
                                    " (warm|cold)");
-  }
-
-  if (!des_queue.empty() &&
-      !des::ParseQueueBackend(des_queue, &params.des_queue)) {
-    return Status::InvalidArgument("unknown --des_queue: " + des_queue +
-                                   " (heap|calendar|auto)");
   }
 
   Result<pull::PullScheduler> sched =

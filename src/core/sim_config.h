@@ -52,7 +52,6 @@ struct SimConfig {
   std::string program = "multidisk";    ///< multidisk | skewed | random
   std::string noise_scope = "access_range";  ///< access_range | all
   std::string pull_sched = "fcfs";      ///< fcfs | mrf | lxw
-  std::string des_queue;  ///< heap | calendar | auto ("" = default)
   std::string crash_cache = "warm";     ///< warm | cold (restart cache fate)
   std::string pop_classes;  ///< "name:frac[:loss[:doze]],..." receiver classes
   /// @}

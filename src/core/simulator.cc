@@ -181,9 +181,7 @@ Result<SimResult> RunSimulation(const SimParams& params,
       static_cast<PageId>(params.access_range), &catalog, policy_options);
   if (!cache.ok()) return cache.status();
 
-  result.resolved_queue =
-      des::ResolveQueueBackend(params.des_queue, /*expected_clients=*/1);
-  des::Simulation sim(result.resolved_queue);
+  des::Simulation sim;
   if (observers.profile_des) sim.EnableProfiling();
   sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline,

@@ -108,11 +108,6 @@ struct SimResult {
   /// The schedule optimizer's analytic expected-delay prediction for the
   /// program this run broadcast (0 when built without probabilities).
   double predicted_delay = 0.0;
-
-  /// The concrete DES backend the run executed on: `params.des_queue`
-  /// with `kAuto` resolved against the run's client count. Backends are
-  /// bit-identical by contract, so this is provenance, not semantics.
-  des::QueueBackend resolved_queue = des::QueueBackend::kHeap;
 };
 
 /// \brief Optional observability hooks for a run. All default to off; a

@@ -302,8 +302,7 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
       &catalog, base.policy_options);
   if (!cache.ok()) return cache.status();
 
-  des::Simulation sim(
-      des::ResolveQueueBackend(base.des_queue, /*expected_clients=*/1));
+  des::Simulation sim;
   BroadcastChannel channel(&sim, &*program);
   std::unique_ptr<fault::Receiver> receiver;
   if (base.fault.Active()) {

@@ -1,37 +1,17 @@
 #include "des/event_queue.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/logging.h"
-#include "des/calendar_queue.h"
-#include "des/heap_queue.h"
 
 namespace bcast::des {
 namespace {
 
-// Compaction trigger: purge the backend once stale refs both exceed this
+// Compaction trigger: purge the heap once stale refs both exceed this
 // floor and outnumber the live events. The floor keeps tiny queues from
 // compacting on every cancel; the ratio bounds memory at O(live).
 constexpr uint64_t kCompactFloor = 64;
-
-std::unique_ptr<PendingEventSet> MakeBackend(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kHeap:
-      return std::make_unique<HeapEventSet>();
-    case QueueBackend::kCalendar:
-      return std::make_unique<CalendarEventSet>();
-    case QueueBackend::kAuto:
-      // Runners resolve auto against their client count before building
-      // the kernel; a queue constructed with auto directly is a
-      // single-world queue, which is the tiny-depth shape.
-      return std::make_unique<HeapEventSet>();
-  }
-  BCAST_LOG(kFatal) << "unknown QueueBackend "
-                    << static_cast<int>(backend);
-  return nullptr;
-}
 
 }  // namespace
 
@@ -56,65 +36,6 @@ const char* EventKindName(EventKind kind) {
   }
   return "unknown";
 }
-
-const char* QueueBackendName(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kHeap:
-      return "heap";
-    case QueueBackend::kCalendar:
-      return "calendar";
-    case QueueBackend::kAuto:
-      return "auto";
-  }
-  return "unknown";
-}
-
-bool ParseQueueBackend(const std::string& name, QueueBackend* out) {
-  if (name == "heap") {
-    *out = QueueBackend::kHeap;
-    return true;
-  }
-  if (name == "calendar") {
-    *out = QueueBackend::kCalendar;
-    return true;
-  }
-  if (name == "auto") {
-    *out = QueueBackend::kAuto;
-    return true;
-  }
-  return false;
-}
-
-QueueBackend DefaultQueueBackend() {
-  static const QueueBackend cached = [] {
-    const char* env = std::getenv("BCAST_DES_QUEUE");
-    QueueBackend backend = QueueBackend::kAuto;
-    if (env != nullptr && *env != '\0' &&
-        !ParseQueueBackend(env, &backend)) {
-      BCAST_LOG(kWarning) << "BCAST_DES_QUEUE=" << env
-                          << " is not a backend (heap|calendar|auto); "
-                             "using auto";
-    }
-    return backend;
-  }();
-  return cached;
-}
-
-QueueBackend ResolveQueueBackend(QueueBackend requested,
-                                 uint64_t expected_clients) {
-  if (requested != QueueBackend::kAuto) return requested;
-  // Each client keeps only a few events pending (think-timer, fetch wait,
-  // fault timers), so depth scales with the client count; the heap wins
-  // until roughly depth ~20, i.e. a handful of clients.
-  constexpr uint64_t kHeapClientCeiling = 8;
-  return expected_clients <= kHeapClientCeiling ? QueueBackend::kHeap
-                                                : QueueBackend::kCalendar;
-}
-
-EventQueue::EventQueue(QueueBackend backend)
-    : set_(MakeBackend(backend)) {}
-
-EventQueue::~EventQueue() = default;
 
 uint32_t EventQueue::AllocSlot() {
   if (!free_slots_.empty()) {
@@ -147,7 +68,8 @@ EventQueue::EventId EventQueue::Push(double time, std::function<void()> fn,
   s.fn = std::move(fn);
   const uint64_t seq_and_kind =
       (next_seq_++ << kKindBits) | static_cast<uint64_t>(kind);
-  set_->Push(EventRef{time, seq_and_kind, slot, s.gen});
+  heap_.push_back(EventRef{time, seq_and_kind, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), LaterRef{});
   ++live_;
   return MakeId(slot, s.gen);
 }
@@ -167,14 +89,23 @@ bool EventQueue::Cancel(EventId id) {
 
 void EventQueue::MaybeCompact() {
   if (stale_ <= kCompactFloor || stale_ <= live_) return;
-  set_->Compact([this](const EventRef& ref) { return IsLive(ref); });
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const EventRef& ref) {
+                               return !IsLive(ref);
+                             }),
+              heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(), LaterRef{});
   stale_ = 0;
 }
 
+void EventQueue::PopFront() {
+  std::pop_heap(heap_.begin(), heap_.end(), LaterRef{});
+  heap_.pop_back();
+}
+
 void EventQueue::SkipStale() {
-  EventRef ref;
-  while (set_->PeekMin(&ref) && !IsLive(ref)) {
-    set_->PopMin();
+  while (!heap_.empty() && !IsLive(heap_.front())) {
+    PopFront();
     --stale_;
   }
 }
@@ -182,31 +113,29 @@ void EventQueue::SkipStale() {
 double EventQueue::PeekTime() {
   BCAST_CHECK(live_ > 0) << "PeekTime on empty EventQueue";
   SkipStale();
-  EventRef ref;
-  BCAST_CHECK(set_->PeekMin(&ref)) << "backend lost a live event";
-  return ref.time;
+  BCAST_CHECK(!heap_.empty()) << "heap lost a live event";
+  return heap_.front().time;
 }
 
 std::function<void()> EventQueue::Pop(double* time, EventKind* kind) {
   BCAST_CHECK(live_ > 0) << "Pop on empty EventQueue";
   SkipStale();
-  EventRef ref;
-  BCAST_CHECK(set_->PeekMin(&ref)) << "backend lost a live event";
+  BCAST_CHECK(!heap_.empty()) << "heap lost a live event";
+  const EventRef& ref = heap_.front();
   *time = ref.time;
   if (kind != nullptr) {
     *kind = static_cast<EventKind>(ref.seq_and_kind & 0xff);
   }
   std::function<void()> fn = std::move(slab_[ref.slot].fn);
   FreeSlot(ref.slot);
-  set_->PopMin();
+  PopFront();
   --live_;
   return fn;
 }
 
 void EventQueue::Clear() {
-  set_->Clear();
-  // Rebuild the free list deterministically (slot 0 first out) so the
-  // id sequence after a Clear is identical under every backend.
+  heap_.clear();
+  // Rebuild the free list deterministically (slot 0 first out).
   free_slots_.clear();
   for (size_t i = slab_.size(); i-- > 0;) {
     Slot& s = slab_[i];

@@ -1,24 +1,19 @@
 /// \file event_queue.h
 /// \brief The pending-event set of the discrete-event simulation kernel.
 ///
-/// `EventQueue` is a facade over two interchangeable backends (see
-/// des/pending_event_set.h): it owns every event payload in a
-/// generation-tagged slot slab and delegates only the *ordering* of
-/// lightweight refs to a `PendingEventSet` — the binary-heap oracle or
-/// the default calendar queue. The observable contract is identical
-/// under either backend (timestamp order, FIFO tie-break on schedule
-/// sequence, O(1) `Cancel`, `EventKind` tagging), which the randomized
-/// differential suite and the golden bit-identity test enforce.
+/// `EventQueue` owns every event payload in a generation-tagged slot slab
+/// and orders lightweight 24-byte refs to those payloads in a binary
+/// min-heap. The contract — timestamp order, FIFO tie-break on schedule
+/// sequence, O(1) `Cancel`, `EventKind` tagging — is checked against a
+/// test-local ordered-map reference by the randomized differential suite
+/// (tests/des/queue_differential_test.cc) and end to end by the goldens.
 
 #ifndef BCAST_DES_EVENT_QUEUE_H_
 #define BCAST_DES_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
-
-#include "des/pending_event_set.h"
 
 namespace bcast::des {
 
@@ -51,7 +46,7 @@ const char* EventKindName(EventKind kind);
 /// Payloads (the `std::function` callbacks) live in a slab of reusable
 /// slots; each slot carries a generation counter bumped on every reuse.
 /// Cancellation is O(1): the slot is reclaimed immediately (its callback
-/// released), and the stale ref the backend still holds is recognized by
+/// released), and the stale ref the heap still holds is recognized by
 /// its outdated generation and dropped lazily — or purged in bulk when
 /// stale refs outnumber live events, so repeated schedule/cancel cycles
 /// keep memory proportional to the live population.
@@ -59,14 +54,10 @@ class EventQueue {
  public:
   /// Opaque handle identifying a scheduled event, usable to cancel it.
   /// Handles are never zero and never reused within a generation epoch
-  /// of their slot; a run's handle sequence is deterministic and, by
-  /// construction, identical under every backend.
+  /// of their slot; a run's handle sequence is deterministic.
   using EventId = uint64_t;
 
-  /// Builds the queue on \p backend (default: `DefaultQueueBackend()` —
-  /// the calendar queue unless `BCAST_DES_QUEUE` overrides it).
-  explicit EventQueue(QueueBackend backend = DefaultQueueBackend());
-  ~EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -78,7 +69,7 @@ class EventQueue {
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was cancelled before, or never existed. O(1): the payload slot is
-  /// reclaimed immediately; the backend's ref is dropped lazily.
+  /// reclaimed immediately; the heap's ref is dropped lazily.
   bool Cancel(EventId id);
 
   /// True when no live events remain.
@@ -98,18 +89,10 @@ class EventQueue {
   /// Drops all pending events and releases their callbacks.
   void Clear();
 
-  /// The backend this queue runs on.
-  QueueBackend backend() const { return set_->backend(); }
-
-  /// Stable name of the backend ("heap" / "calendar").
-  const char* backend_name() const {
-    return QueueBackendName(set_->backend());
-  }
-
   /// \name Memory introspection (tests and diagnostics).
   /// @{
-  /// Refs the backend holds, cancelled stragglers included.
-  uint64_t backend_entries() const { return set_->entries(); }
+  /// Refs the heap holds, cancelled stragglers included.
+  uint64_t heap_entries() const { return heap_.size(); }
 
   /// Payload slots ever allocated (the slab's high-water mark).
   uint64_t allocated_slots() const { return slab_.size(); }
@@ -117,11 +100,35 @@ class EventQueue {
 
  private:
   // The kind rides in the low byte under the shifted sequence number so
-  // backends order one packed word. Sequences are unique, so comparing
+  // the heap orders one packed word. Sequences are unique, so comparing
   // the packed word IS the FIFO tie-break (the kind byte never decides),
   // and 2^56 sequence numbers is far beyond any run.
   static constexpr int kKindBits = 8;
   static constexpr uint64_t kMaxSeq = uint64_t{1} << (64 - kKindBits);
+
+  // One scheduled event as the heap sees it: ordering key plus the slab
+  // coordinates of the payload. 24 bytes, trivially copyable — the heap
+  // shuffles refs, never `std::function` payloads.
+  struct EventRef {
+    double time;            // absolute timestamp, always finite
+    uint64_t seq_and_kind;  // (sequence << kKindBits) | kind
+    uint32_t slot;          // slab slot of the payload
+    uint32_t gen;           // slot generation at push time
+  };
+
+  // Dispatch order: earliest time first, FIFO within a timestamp.
+  static bool EarlierRef(const EventRef& a, const EventRef& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq_and_kind < b.seq_and_kind;
+  }
+
+  // std::push_heap builds a max-heap, so the heap's comparator inverts
+  // EarlierRef to keep the earliest ref at the front.
+  struct LaterRef {
+    bool operator()(const EventRef& a, const EventRef& b) const {
+      return EarlierRef(b, a);
+    }
+  };
 
   // One payload slot. `gen` starts at 1 and is bumped on every reclaim
   // (pop or cancel), so a generation match means exactly one thing: the
@@ -138,7 +145,7 @@ class EventQueue {
 
   uint32_t AllocSlot();
 
-  // Reclaims \p slot: bumps the generation (staling any backend ref),
+  // Reclaims \p slot: bumps the generation (staling any heap ref),
   // releases the callback, and returns the slot to the free list.
   void FreeSlot(uint32_t slot);
 
@@ -147,19 +154,22 @@ class EventQueue {
     return slab_[ref.slot].gen == ref.gen;
   }
 
-  // Drops stale refs off the backend's minimum until a live event (or
-  // nothing) is at the front.
+  // Removes the heap's front ref.
+  void PopFront();
+
+  // Drops stale refs off the heap's front until a live event (or
+  // nothing) is there.
   void SkipStale();
 
-  // Purges all stale refs from the backend when they outnumber the live
-  // events, bounding backend memory at O(live).
+  // Purges all stale refs from the heap when they outnumber the live
+  // events, bounding heap memory at O(live).
   void MaybeCompact();
 
-  std::unique_ptr<PendingEventSet> set_;
+  std::vector<EventRef> heap_;  // min-heap under LaterRef
   std::vector<Slot> slab_;
   std::vector<uint32_t> free_slots_;
   uint64_t live_ = 0;
-  uint64_t stale_ = 0;  // cancelled refs still inside set_
+  uint64_t stale_ = 0;  // cancelled refs still inside heap_
   uint64_t next_seq_ = 1;
 };
 

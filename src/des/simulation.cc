@@ -36,8 +36,6 @@ bool DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
   return true;
 }
 
-Simulation::Simulation(QueueBackend backend) : queue_(backend) {}
-
 Simulation::~Simulation() {
   // Drop pending events first so nothing can resume a process while the
   // frames below are being destroyed.

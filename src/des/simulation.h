@@ -3,8 +3,9 @@
 ///
 /// This is the library's substitute for CSIM [Schw86], which the paper used.
 /// It provides a simulated clock measured in *broadcast units* (the time to
-/// broadcast one page, per paper Section 4.1), deterministic event ordering,
-/// and process-oriented modelling via C++20 coroutines:
+/// broadcast one page, per paper Section 4.1), deterministic event ordering
+/// (one `EventQueue`, a binary heap; des/event_queue.h), and
+/// process-oriented modelling via C++20 coroutines:
 ///
 /// \code
 ///   des::Process Client(des::Simulation* sim) {
@@ -162,10 +163,7 @@ class DelayAwaiter {
 /// simulations instead).
 class Simulation {
  public:
-  /// Builds the kernel on \p backend (default: `DefaultQueueBackend()`).
-  /// The backend is an implementation choice, never a semantic one —
-  /// runs are bit-identical under heap and calendar, golden-proven.
-  explicit Simulation(QueueBackend backend = DefaultQueueBackend());
+  Simulation() = default;
   ~Simulation();
 
   Simulation(const Simulation&) = delete;
@@ -258,9 +256,6 @@ class Simulation {
 
   /// The attached timeline writer, or nullptr.
   obs::TimelineWriter* timeline() const { return timeline_; }
-
-  /// The pending-event-set backend this kernel runs on.
-  QueueBackend queue_backend() const { return queue_.backend(); }
 
   /// The kernel's event queue (memory introspection in tests).
   const EventQueue& queue() const { return queue_; }

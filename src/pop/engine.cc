@@ -201,13 +201,7 @@ Result<MultiClientResult> RunPopulationSimulation(
   // pull server, adaptive controller, and the channel the controller
   // steers (no client ever waits on this channel; the shards' replicas
   // carry the waiters).
-  // The server simulation hosts only the centralized subsystems (no
-  // client waits), so an `auto` backend resolves against zero clients —
-  // the heap. Each shard resolves against its own slice (shard.cc).
-  const des::QueueBackend resolved_queue =
-      des::ResolveQueueBackend(params.des_queue, n_clients);
-  des::Simulation server_sim(
-      des::ResolveQueueBackend(params.des_queue, /*expected_clients=*/0));
+  des::Simulation server_sim;
   if (observers.profile_des) server_sim.EnableProfiling();
   server_sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kSim, "des"));
@@ -626,7 +620,6 @@ Result<MultiClientResult> RunPopulationSimulation(
   result.end_time = end_time;
   result.events_dispatched = merged_events();
   result.predicted_delay = schedule->predicted_delay;
-  result.resolved_queue = resolved_queue;
   if (observers.profile_des) {
     result.profile = server_sim.profile();
     for (const auto& shard : shards) {

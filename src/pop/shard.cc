@@ -23,10 +23,6 @@ Shard::Shard(uint64_t index, uint64_t begin, uint64_t end,
       end_(end),
       shared_(shared),
       store_(store),
-      // An `auto` backend resolves against this shard's own slice: the
-      // backends are bit-identical by contract, so per-shard choices
-      // never show up in results — only in wall-clock.
-      sim_(des::ResolveQueueBackend(shared.params->des_queue, end - begin)),
       channel_(&sim_, shared.program) {
   BCAST_CHECK(begin < end);
   if (shared_.profile_des) sim_.EnableProfiling();

@@ -87,15 +87,6 @@ TEST(ChaosRunTest, MutationCheckCatchesInjectedAccountingBug) {
   EXPECT_TRUE(caught);
 }
 
-TEST(ChaosRunTest, DisabledIdentityHoldsOnSampledSeeds) {
-  for (uint64_t seed : {0ull, 9ull, 23ull}) {
-    const ChaosScenario scenario = GenerateScenario(seed, ChaosAxes::All());
-    const auto violation = CheckDisabledIdentity(scenario);
-    EXPECT_FALSE(violation.has_value())
-        << "seed " << seed << ": " << violation->detail;
-  }
-}
-
 TEST(ChaosOptimizerTest, AxisDrawsTheWholeFrontier) {
   // With the pull axis off, nothing forces a downgrade, so the draw must
   // reach every registered optimizer across a handful of seeds.

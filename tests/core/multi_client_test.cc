@@ -130,33 +130,6 @@ TEST(MultiClientTest, DeltaPopulationReportOmitsThePredictionExtra) {
   }
 }
 
-TEST(MultiClientTest, AutoBackendResolvesByPopulationSize) {
-  MultiClientParams small = SmallPopulation(3);
-  small.des_queue = des::QueueBackend::kAuto;
-  small.measured_requests = 200;
-  auto tiny = RunPopulation(small);
-  ASSERT_TRUE(tiny.ok());
-  EXPECT_EQ(tiny->resolved_queue, des::QueueBackend::kHeap);
-
-  MultiClientParams big = SmallPopulation(9);
-  big.des_queue = des::QueueBackend::kAuto;
-  big.measured_requests = 200;
-  auto large = RunPopulation(big);
-  ASSERT_TRUE(large.ok());
-  EXPECT_EQ(large->resolved_queue, des::QueueBackend::kCalendar);
-
-  // Resolution can never change results — only which backend ran.
-  MultiClientParams pinned = SmallPopulation(9);
-  pinned.des_queue = des::QueueBackend::kHeap;
-  pinned.measured_requests = 200;
-  auto heap = RunPopulation(pinned);
-  ASSERT_TRUE(heap.ok());
-  EXPECT_EQ(heap->resolved_queue, des::QueueBackend::kHeap);
-  EXPECT_EQ(heap->response_across_clients.sum(),
-            large->response_across_clients.sum());
-  EXPECT_EQ(heap->events_dispatched, large->events_dispatched);
-}
-
 TEST(MultiClientTest, OptimizerChoiceChangesTheScheduleDeterministically) {
   for (const char* name : {"ksy", "rbo"}) {
     MultiClientParams params = SmallPopulation(2);

@@ -198,26 +198,6 @@ TEST(SimConfigTest, AdaptReoptNeedsTheController) {
             std::string::npos);
 }
 
-TEST(SimConfigTest, DesQueueParsesEveryBackend) {
-  {
-    SimConfig config;
-    ASSERT_TRUE(ConfigureFrom(&config, {"--des_queue=auto"}).ok());
-    EXPECT_EQ(config.params.des_queue, des::QueueBackend::kAuto);
-  }
-  {
-    SimConfig config;
-    ASSERT_TRUE(ConfigureFrom(&config, {"--des_queue=heap"}).ok());
-    EXPECT_EQ(config.params.des_queue, des::QueueBackend::kHeap);
-  }
-  {
-    SimConfig config;
-    const Status st = ConfigureFrom(&config, {"--des_queue=splay"});
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("(heap|calendar|auto)"),
-              std::string::npos);
-  }
-}
-
 TEST(SimConfigTest, FinalizeRunsStructuralValidation) {
   // Coherent flags can still describe an invalid simulation; Finalize
   // must catch that too (here: adaptation without a multi-disk program).

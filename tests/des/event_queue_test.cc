@@ -2,36 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace bcast::des {
 namespace {
 
-// Every contract test runs under both backends: the heap oracle and the
-// calendar queue must be observably indistinguishable.
-class EventQueueTest : public testing::TestWithParam<QueueBackend> {
+class EventQueueTest : public testing::Test {
  protected:
-  EventQueue q{GetParam()};
+  EventQueue q;
 };
 
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueTest,
-                         testing::Values(QueueBackend::kHeap,
-                                         QueueBackend::kCalendar),
-                         [](const auto& info) {
-                           return QueueBackendName(info.param);
-                         });
-
-TEST_P(EventQueueTest, StartsEmpty) {
+TEST_F(EventQueueTest, StartsEmpty) {
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST_P(EventQueueTest, ReportsItsBackend) {
-  EXPECT_EQ(q.backend(), GetParam());
-  EXPECT_STREQ(q.backend_name(), QueueBackendName(GetParam()));
-}
-
-TEST_P(EventQueueTest, PopsInTimeOrder) {
+TEST_F(EventQueueTest, PopsInTimeOrder) {
   std::vector<int> order;
   q.Push(3.0, [&] { order.push_back(3); });
   q.Push(1.0, [&] { order.push_back(1); });
@@ -43,7 +33,7 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(EventQueueTest, EqualTimesFireFifo) {
+TEST_F(EventQueueTest, EqualTimesFireFifo) {
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
     q.Push(5.0, [&order, i] { order.push_back(i); });
@@ -55,14 +45,14 @@ TEST_P(EventQueueTest, EqualTimesFireFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueTest, PopReportsTime) {
+TEST_F(EventQueueTest, PopReportsTime) {
   q.Push(7.25, [] {});
   double t = 0.0;
   q.Pop(&t);
   EXPECT_DOUBLE_EQ(t, 7.25);
 }
 
-TEST_P(EventQueueTest, PopReportsKind) {
+TEST_F(EventQueueTest, PopReportsKind) {
   q.Push(1.0, [] {}, EventKind::kSlot);
   q.Push(2.0, [] {}, EventKind::kPull);
   double t;
@@ -73,13 +63,13 @@ TEST_P(EventQueueTest, PopReportsKind) {
   EXPECT_EQ(kind, EventKind::kPull);
 }
 
-TEST_P(EventQueueTest, PeekTimeDoesNotPop) {
+TEST_F(EventQueueTest, PeekTimeDoesNotPop) {
   q.Push(2.0, [] {});
   EXPECT_DOUBLE_EQ(q.PeekTime(), 2.0);
   EXPECT_EQ(q.size(), 1u);
 }
 
-TEST_P(EventQueueTest, CancelRemovesEvent) {
+TEST_F(EventQueueTest, CancelRemovesEvent) {
   bool fired = false;
   const auto id = q.Push(1.0, [&] { fired = true; });
   EXPECT_TRUE(q.Cancel(id));
@@ -87,25 +77,25 @@ TEST_P(EventQueueTest, CancelRemovesEvent) {
   EXPECT_FALSE(fired);
 }
 
-TEST_P(EventQueueTest, CancelTwiceFails) {
+TEST_F(EventQueueTest, CancelTwiceFails) {
   const auto id = q.Push(1.0, [] {});
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));
 }
 
-TEST_P(EventQueueTest, CancelFiredEventFails) {
+TEST_F(EventQueueTest, CancelFiredEventFails) {
   const auto id = q.Push(1.0, [] {});
   double t;
   q.Pop(&t);
   EXPECT_FALSE(q.Cancel(id));
 }
 
-TEST_P(EventQueueTest, CancelUnknownIdFails) {
+TEST_F(EventQueueTest, CancelUnknownIdFails) {
   EXPECT_FALSE(q.Cancel(0));
   EXPECT_FALSE(q.Cancel(999));
 }
 
-TEST_P(EventQueueTest, CancelStaleIdFromReusedSlotFails) {
+TEST_F(EventQueueTest, CancelStaleIdFromReusedSlotFails) {
   const auto id1 = q.Push(1.0, [] {});
   double t;
   q.Pop(&t);
@@ -118,7 +108,7 @@ TEST_P(EventQueueTest, CancelStaleIdFromReusedSlotFails) {
   EXPECT_TRUE(q.Cancel(id2));
 }
 
-TEST_P(EventQueueTest, CancelMiddleKeepsOthers) {
+TEST_F(EventQueueTest, CancelMiddleKeepsOthers) {
   std::vector<int> order;
   q.Push(1.0, [&] { order.push_back(1); });
   const auto id2 = q.Push(2.0, [&] { order.push_back(2); });
@@ -132,14 +122,14 @@ TEST_P(EventQueueTest, CancelMiddleKeepsOthers) {
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST_P(EventQueueTest, CancelHeadAdvancesPeek) {
+TEST_F(EventQueueTest, CancelHeadAdvancesPeek) {
   const auto id1 = q.Push(1.0, [] {});
   q.Push(2.0, [] {});
   EXPECT_TRUE(q.Cancel(id1));
   EXPECT_DOUBLE_EQ(q.PeekTime(), 2.0);
 }
 
-TEST_P(EventQueueTest, ClearDropsEverything) {
+TEST_F(EventQueueTest, ClearDropsEverything) {
   q.Push(1.0, [] {});
   q.Push(2.0, [] {});
   q.Clear();
@@ -147,7 +137,7 @@ TEST_P(EventQueueTest, ClearDropsEverything) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST_P(EventQueueTest, ClearInvalidatesOldIds) {
+TEST_F(EventQueueTest, ClearInvalidatesOldIds) {
   const auto id = q.Push(1.0, [] {});
   q.Clear();
   EXPECT_FALSE(q.Cancel(id));
@@ -155,7 +145,7 @@ TEST_P(EventQueueTest, ClearInvalidatesOldIds) {
   EXPECT_FALSE(q.Cancel(id));
 }
 
-TEST_P(EventQueueTest, NegativeTimesAreOrdered) {
+TEST_F(EventQueueTest, NegativeTimesAreOrdered) {
   std::vector<double> popped;
   q.Push(0.0, [] {});
   q.Push(-5.5, [] {});
@@ -168,7 +158,7 @@ TEST_P(EventQueueTest, NegativeTimesAreOrdered) {
   EXPECT_EQ(popped, (std::vector<double>{-5.5, -1.0, 0.0}));
 }
 
-TEST_P(EventQueueTest, ManyEventsStressOrder) {
+TEST_F(EventQueueTest, ManyEventsStressOrder) {
   // Deterministic pseudo-random times with duplicates.
   uint64_t state = 42;
   std::vector<double> times;
@@ -190,23 +180,17 @@ TEST_P(EventQueueTest, ManyEventsStressOrder) {
 }
 
 using EventQueueDeathTest = EventQueueTest;
-INSTANTIATE_TEST_SUITE_P(Backends, EventQueueDeathTest,
-                         testing::Values(QueueBackend::kHeap,
-                                         QueueBackend::kCalendar),
-                         [](const auto& info) {
-                           return QueueBackendName(info.param);
-                         });
 
-TEST_P(EventQueueDeathTest, PopEmptyDies) {
+TEST_F(EventQueueDeathTest, PopEmptyDies) {
   double t;
   EXPECT_DEATH(q.Pop(&t), "empty EventQueue");
 }
 
-TEST_P(EventQueueDeathTest, PeekEmptyDies) {
+TEST_F(EventQueueDeathTest, PeekEmptyDies) {
   EXPECT_DEATH(q.PeekTime(), "empty EventQueue");
 }
 
-TEST_P(EventQueueDeathTest, NonFiniteTimesRejected) {
+TEST_F(EventQueueDeathTest, NonFiniteTimesRejected) {
   EXPECT_DEATH(q.Push(std::numeric_limits<double>::quiet_NaN(), [] {}),
                "finite");
   EXPECT_DEATH(q.Push(std::numeric_limits<double>::infinity(), [] {}),
@@ -215,40 +199,72 @@ TEST_P(EventQueueDeathTest, NonFiniteTimesRejected) {
                "finite");
 }
 
-TEST(QueueBackendTest, ParseRoundTrips) {
-  QueueBackend backend;
-  ASSERT_TRUE(ParseQueueBackend("heap", &backend));
-  EXPECT_EQ(backend, QueueBackend::kHeap);
-  ASSERT_TRUE(ParseQueueBackend("calendar", &backend));
-  EXPECT_EQ(backend, QueueBackend::kCalendar);
-  ASSERT_TRUE(ParseQueueBackend("auto", &backend));
-  EXPECT_EQ(backend, QueueBackend::kAuto);
-  EXPECT_FALSE(ParseQueueBackend("splay", &backend));
-  EXPECT_FALSE(ParseQueueBackend("", &backend));
-}
+// --- Memory bounds ------------------------------------------------------
+//
+// The old kernel kept every cancelled far-future event inside its heap
+// (and its id in two hash sets) until the simulation's clock reached the
+// event's timestamp — never, for periodic-timeout workloads. These tests
+// pin the fix: stale refs are compacted once they outnumber live events,
+// and Clear releases everything.
 
-TEST(QueueBackendTest, AutoResolvesByClientCount) {
-  // A handful of clients keeps the pending set tiny, where the heap
-  // wins; the ceiling is 8 clients, and the boundary must be exact.
-  EXPECT_EQ(ResolveQueueBackend(QueueBackend::kAuto, 0),
-            QueueBackend::kHeap);
-  EXPECT_EQ(ResolveQueueBackend(QueueBackend::kAuto, 1),
-            QueueBackend::kHeap);
-  EXPECT_EQ(ResolveQueueBackend(QueueBackend::kAuto, 8),
-            QueueBackend::kHeap);
-  EXPECT_EQ(ResolveQueueBackend(QueueBackend::kAuto, 9),
-            QueueBackend::kCalendar);
-  EXPECT_EQ(ResolveQueueBackend(QueueBackend::kAuto, 1000),
-            QueueBackend::kCalendar);
-}
-
-TEST(QueueBackendTest, ExplicitBackendsPassThroughResolution) {
-  for (uint64_t clients : {0u, 1u, 8u, 9u, 1000u}) {
-    EXPECT_EQ(ResolveQueueBackend(QueueBackend::kHeap, clients),
-              QueueBackend::kHeap);
-    EXPECT_EQ(ResolveQueueBackend(QueueBackend::kCalendar, clients),
-              QueueBackend::kCalendar);
+TEST(EventQueueMemoryTest, RepeatedScheduleCancelStaysBounded) {
+  EventQueue q;
+  // One long-lived event keeps the queue non-empty (live_ == 1).
+  q.Push(1e18, [] {});
+  for (int i = 0; i < 100000; ++i) {
+    // A timeout scheduled far in the future and cancelled before
+    // firing — the pattern that leaked before.
+    const auto id = q.Push(1e12 + i, [] {});
+    ASSERT_TRUE(q.Cancel(id));
+    ASSERT_EQ(q.size(), 1u);
   }
+  // Stale refs are purged whenever they outnumber live events (floor
+  // 64), so the heap never holds more than live + floor + 1 refs.
+  EXPECT_LE(q.heap_entries(), 66u);
+  // And the payload slab reuses the same slot every cycle.
+  EXPECT_LE(q.allocated_slots(), 2u);
+}
+
+TEST(EventQueueMemoryTest, ScheduleCancelClearCyclesKeepSlabBounded) {
+  EventQueue q;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    std::vector<uint64_t> ids;
+    for (int i = 0; i < 100; ++i) {
+      ids.push_back(q.Push(static_cast<double>(i), [] {}));
+    }
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      ASSERT_TRUE(q.Cancel(ids[i]));
+    }
+    q.Clear();
+    ASSERT_TRUE(q.empty());
+    ASSERT_EQ(q.heap_entries(), 0u);
+  }
+  // 200 cycles of 100 events reuse the same 100 slots.
+  EXPECT_EQ(q.allocated_slots(), 100u);
+}
+
+TEST(EventQueueMemoryTest, CompactionPreservesOrderUnderChurn) {
+  // Heavy cancel churn with interleaved pops: compaction must never
+  // reorder or lose the surviving events.
+  EventQueue q;
+  Rng rng(99);
+  std::vector<double> survivors;
+  for (int i = 0; i < 20000; ++i) {
+    const double t = rng.NextDouble() * 1e6;
+    const auto id = q.Push(t, [] {});
+    if (rng.NextBernoulli(0.9)) {
+      ASSERT_TRUE(q.Cancel(id));
+    } else {
+      survivors.push_back(t);
+    }
+  }
+  std::sort(survivors.begin(), survivors.end());
+  for (const double expect : survivors) {
+    double t;
+    q.Pop(&t);
+    ASSERT_DOUBLE_EQ(t, expect);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

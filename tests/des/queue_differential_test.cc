@@ -1,14 +1,17 @@
-// Differential correctness harness for the pending-event-set backends.
+// Differential correctness harness for the kernel's event queue.
 //
-// The binary heap is the oracle: it is small enough to trust by
-// inspection. The calendar queue must be observably indistinguishable
-// from it, so randomized operation scripts — pushes across adversarial
-// time distributions, cancels (head, middle, stale), pops whose
-// callbacks re-enter Push, and clears — are replayed against both
-// backends and every observable compared: the ids Push returns, the
-// verdicts Cancel returns, and the exact (time, kind, marker) sequence
-// of the pops. A failure prints the script seed; rerunning with that
-// seed (and, if needed, a smaller op count) reproduces and shrinks it.
+// The oracle is `ReferenceQueue` below: an ordered map keyed by (time,
+// schedule sequence), where cancel erases the entry. It has no slab, no
+// generations, no lazy deletion and no compaction, so it is simple
+// enough to trust by inspection. `EventQueue` must be observably
+// indistinguishable from it: randomized operation scripts — pushes
+// across adversarial time distributions, cancels (head, middle, stale),
+// pops whose callbacks re-enter Push, and clears — are replayed against
+// both and every observable compared: which event each Push and Cancel
+// named, the verdicts Cancel returns, and the exact (time, kind, marker)
+// sequence of the pops. A failure prints the script seed; rerunning with
+// that seed (and, if needed, a smaller op count) reproduces and shrinks
+// it.
 //
 // The second half applies the same idea to the kernel's tail-resume fast
 // path (des/simulation.h): random process scripts run once on
@@ -22,10 +25,12 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <numeric>
-#include <set>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,13 +40,68 @@
 namespace bcast::des {
 namespace {
 
-// One observable step of a script run. Push and Cancel record their
-// results; Pop records everything the facade exposes about the event.
+// The oracle: `EventQueue`'s contract written the obvious way. Events
+// sit in a map ordered by (time, schedule sequence), so the first entry
+// is the next to fire and equal times fire FIFO; an id is the schedule
+// sequence, and cancel erases the entry.
+class ReferenceQueue {
+ public:
+  using EventId = uint64_t;
+
+  EventId Push(double time, std::function<void()> fn,
+               EventKind kind = EventKind::kGeneric) {
+    const uint64_t seq = next_seq_++;
+    events_.emplace(Key{time, seq}, Entry{kind, std::move(fn)});
+    time_of_.emplace(seq, time);
+    return seq;
+  }
+
+  bool Cancel(EventId id) {
+    const auto it = time_of_.find(id);
+    if (it == time_of_.end()) return false;
+    events_.erase(Key{it->second, id});
+    time_of_.erase(it);
+    return true;
+  }
+
+  std::function<void()> Pop(double* time, EventKind* kind = nullptr) {
+    const auto it = events_.begin();
+    *time = it->first.first;
+    if (kind != nullptr) *kind = it->second.kind;
+    std::function<void()> fn = std::move(it->second.fn);
+    time_of_.erase(it->first.second);
+    events_.erase(it);
+    return fn;
+  }
+
+  void Clear() {
+    events_.clear();
+    time_of_.clear();
+  }
+
+  bool empty() const { return events_.empty(); }
+  uint64_t size() const { return events_.size(); }
+
+ private:
+  using Key = std::pair<double, uint64_t>;  // (time, schedule sequence)
+  struct Entry {
+    EventKind kind;
+    std::function<void()> fn;
+  };
+
+  std::map<Key, Entry> events_;
+  std::unordered_map<uint64_t, double> time_of_;  // live id -> time
+  uint64_t next_seq_ = 1;
+};
+
+// One observable step of a script run. Events are named by their
+// marker, never by the id the queue returned: the two queues number
+// their ids differently. Push and Cancel record what they named; Pop
+// records everything the queue exposes about the event.
 struct Observation {
   enum Op : uint8_t { kPush, kCancel, kPop, kClear } op;
   double time = 0.0;        // pop: timestamp (push: the scheduled time)
-  uint64_t id = 0;          // push: returned id; cancel: target id
-  uint64_t marker = 0;      // pop: which callback ran
+  uint64_t marker = 0;      // push/pop: the event; cancel: its target
   int kind = 0;             // pop: the EventKind byte
   bool ok = false;          // cancel: verdict
   uint64_t size_after = 0;  // q.size() after the step
@@ -69,17 +129,18 @@ double DrawTime(Rng& rng) {
   }
 }
 
-// Replays the script derived from \p seed against \p backend and returns
-// the full observation log. All control decisions draw from the same
-// seeded stream, so two backends with identical observable behaviour
+// Replays the script derived from \p seed against a fresh \p Queue and
+// returns the full observation log. All control decisions draw from the
+// same seeded stream, so two queues with identical observable behaviour
 // walk identical scripts.
-std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
-                                   size_t num_ops) {
+template <typename Queue>
+std::vector<Observation> RunScript(uint64_t seed, size_t num_ops) {
   Rng rng(seed);
-  EventQueue q(backend);
+  Queue q;
   std::vector<Observation> log;
   log.reserve(num_ops + num_ops / 2);
-  std::vector<uint64_t> outstanding;  // ids believed live
+  std::vector<uint64_t> outstanding;  // markers of events believed live
+  std::unordered_map<uint64_t, uint64_t> id_of;  // marker -> queue's id
   uint64_t next_marker = 1;
   uint64_t last_marker = 0;            // set by the callback that just ran
   std::vector<Observation> reentrant;  // pushes made inside callbacks
@@ -89,7 +150,7 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
     const auto kind = static_cast<EventKind>(rng.NextBounded(8));
     Rng nested = rng.Split(marker);
     const bool reenter = rng.NextBernoulli(0.1);
-    const uint64_t id = q.Push(
+    id_of[marker] = q.Push(
         time,
         [&, marker, reenter, nested]() mutable {
           last_marker = marker;
@@ -97,15 +158,19 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
             // Re-entrant Push from a running callback, as coroutine
             // resumptions do constantly in the real kernel.
             const double t = DrawTime(nested);
-            const uint64_t nested_id = q.Push(t, [] {});
-            outstanding.push_back(nested_id);
-            reentrant.push_back(Observation{Observation::kPush, t, nested_id,
-                                            0, 0, true, q.size()});
+            const uint64_t nested_marker = next_marker++;
+            id_of[nested_marker] = q.Push(t, [&last_marker, nested_marker] {
+              last_marker = nested_marker;
+            });
+            outstanding.push_back(nested_marker);
+            reentrant.push_back(Observation{Observation::kPush, t,
+                                            nested_marker, 0, true,
+                                            q.size()});
           }
         },
         kind);
-    outstanding.push_back(id);
-    log.push_back(Observation{Observation::kPush, time, id, marker,
+    outstanding.push_back(marker);
+    log.push_back(Observation{Observation::kPush, time, marker,
                               static_cast<int>(kind), true, q.size()});
   };
 
@@ -122,18 +187,22 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
         }
       }
     } else if (roll < 65) {
-      // Cancel: mostly a live id, sometimes a stale or bogus one.
+      // Cancel: mostly a live event, sometimes a fired, cancelled or
+      // cleared one (its marker stays in `outstanding`), sometimes a
+      // bogus id (marker 0).
+      uint64_t marker = 0;
       uint64_t id;
       if (rng.NextBernoulli(0.8) && !outstanding.empty()) {
         const size_t at = rng.NextBounded(outstanding.size());
-        id = outstanding[at];
+        marker = outstanding[at];
         outstanding.erase(outstanding.begin() + at);
+        id = id_of[marker];
       } else {
         id = rng.Next();  // almost surely invalid
       }
       const bool ok = q.Cancel(id);
       log.push_back(
-          Observation{Observation::kCancel, 0.0, id, 0, 0, ok, q.size()});
+          Observation{Observation::kCancel, 0.0, marker, 0, ok, q.size()});
     } else if (roll < 97) {
       double t;
       EventKind kind;
@@ -144,13 +213,13 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
       for (Observation& o : reentrant) log.push_back(o);
       reentrant.clear();
       log.insert(log.begin() + static_cast<ptrdiff_t>(before),
-                 Observation{Observation::kPop, t, 0, last_marker,
+                 Observation{Observation::kPop, t, last_marker,
                              static_cast<int>(kind), true, q.size()});
     } else {
       q.Clear();
       outstanding.clear();
       log.push_back(
-          Observation{Observation::kClear, 0.0, 0, 0, 0, true, q.size()});
+          Observation{Observation::kClear, 0.0, 0, 0, true, q.size()});
     }
   }
   // Drain: the tail of the sequence is as telling as the middle.
@@ -160,7 +229,7 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
     std::function<void()> fn = q.Pop(&t, &kind);
     last_marker = 0;
     fn();
-    log.push_back(Observation{Observation::kPop, t, 0, last_marker,
+    log.push_back(Observation{Observation::kPop, t, last_marker,
                               static_cast<int>(kind), true, q.size()});
     for (Observation& o : reentrant) log.push_back(o);
     reentrant.clear();
@@ -171,8 +240,8 @@ std::vector<Observation> RunScript(QueueBackend backend, uint64_t seed,
 std::string Describe(const Observation& o) {
   std::ostringstream out;
   const char* names[] = {"push", "cancel", "pop", "clear"};
-  out << names[o.op] << " time=" << o.time << " id=" << o.id
-      << " marker=" << o.marker << " kind=" << o.kind << " ok=" << o.ok
+  out << names[o.op] << " time=" << o.time << " marker=" << o.marker
+      << " kind=" << o.kind << " ok=" << o.ok
       << " size_after=" << o.size_after;
   return out.str();
 }
@@ -180,15 +249,14 @@ std::string Describe(const Observation& o) {
 void ExpectIdenticalRuns(uint64_t seed, size_t num_ops) {
   SCOPED_TRACE("script seed " + std::to_string(seed) + ", " +
                std::to_string(num_ops) + " ops");
-  const std::vector<Observation> heap =
-      RunScript(QueueBackend::kHeap, seed, num_ops);
-  const std::vector<Observation> calendar =
-      RunScript(QueueBackend::kCalendar, seed, num_ops);
-  ASSERT_EQ(heap.size(), calendar.size());
-  for (size_t i = 0; i < heap.size(); ++i) {
-    ASSERT_EQ(heap[i], calendar[i])
-        << "first divergence at step " << i << ":\n  heap:     "
-        << Describe(heap[i]) << "\n  calendar: " << Describe(calendar[i]);
+  const std::vector<Observation> reference =
+      RunScript<ReferenceQueue>(seed, num_ops);
+  const std::vector<Observation> actual = RunScript<EventQueue>(seed, num_ops);
+  ASSERT_EQ(actual.size(), reference.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i], reference[i])
+        << "first divergence at step " << i << ":\n  queue:     "
+        << Describe(actual[i]) << "\n  reference: " << Describe(reference[i]);
   }
 }
 
@@ -207,64 +275,38 @@ TEST(QueueDifferentialTest, ManyShortScripts) {
 }
 
 TEST(QueueDifferentialTest, CancelHeavyScript) {
-  // A dedicated high-cancel mix: interleave pushes with immediate
-  // cancels of the current head so the skip-stale path runs constantly.
-  for (QueueBackend backend :
-       {QueueBackend::kHeap, QueueBackend::kCalendar}) {
-    SCOPED_TRACE(QueueBackendName(backend));
-    EventQueue q(backend);
-    Rng rng(7);
-    std::multiset<double> live_times;  // reference model of live events
-    std::map<uint64_t, double> time_of;
-    auto pop_and_check = [&] {
-      double t;
-      q.Pop(&t);
-      ASSERT_FALSE(live_times.empty());
-      ASSERT_DOUBLE_EQ(t, *live_times.begin())
-          << "pop was not the minimum live event";
-      live_times.erase(live_times.begin());
-    };
-    for (int i = 0; i < 5000; ++i) {
-      const double time = DrawTime(rng);
-      const uint64_t id = q.Push(time, [] {});
-      live_times.insert(time);
-      time_of[id] = time;
-      if (rng.NextBernoulli(0.7)) {
-        // Cancelling the event just pushed frequently cancels the
-        // current head, exercising the skip-stale path on every pop.
-        ASSERT_TRUE(q.Cancel(id));
-        live_times.erase(live_times.find(time_of[id]));
-        time_of.erase(id);
-      }
-      if (rng.NextBernoulli(0.3) && !q.empty()) pop_and_check();
-      ASSERT_EQ(q.size(), live_times.size());
+  // A dedicated high-cancel mix, both queues driven in lockstep:
+  // interleave pushes with immediate cancels of the current head so the
+  // skip-stale and compaction paths run constantly.
+  EventQueue q;
+  ReferenceQueue reference;
+  Rng rng(7);
+  uint64_t ran = 0;            // marker of the queue's last callback
+  uint64_t reference_ran = 0;  // marker of the reference's last callback
+  auto pop_and_check = [&] {
+    double t;
+    double reference_t;
+    q.Pop(&t)();
+    reference.Pop(&reference_t)();
+    ASSERT_EQ(t, reference_t);
+    ASSERT_EQ(ran, reference_ran) << "pop was not the reference's next";
+  };
+  for (uint64_t marker = 1; marker <= 5000; ++marker) {
+    const double time = DrawTime(rng);
+    const auto id = q.Push(time, [&ran, marker] { ran = marker; });
+    const auto reference_id = reference.Push(
+        time, [&reference_ran, marker] { reference_ran = marker; });
+    if (rng.NextBernoulli(0.7)) {
+      // Cancelling the event just pushed frequently cancels the
+      // current head, exercising the skip-stale path on every pop.
+      ASSERT_TRUE(q.Cancel(id));
+      ASSERT_TRUE(reference.Cancel(reference_id));
     }
-    while (!q.empty()) pop_and_check();
-    EXPECT_TRUE(live_times.empty());
+    if (rng.NextBernoulli(0.3) && !q.empty()) pop_and_check();
+    ASSERT_EQ(q.size(), reference.size());
   }
-}
-
-TEST(QueueDifferentialTest, IdSequencesAreBackendInvariant) {
-  // The ids Push hands out are part of the cross-backend contract (a
-  // golden run cancels by id); check them directly on a simple script.
-  EventQueue heap(QueueBackend::kHeap);
-  EventQueue calendar(QueueBackend::kCalendar);
-  std::vector<uint64_t> heap_ids, calendar_ids;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 100; ++i) {
-      heap_ids.push_back(heap.Push(static_cast<double>(i % 7), [] {}));
-      calendar_ids.push_back(
-          calendar.Push(static_cast<double>(i % 7), [] {}));
-    }
-    for (int i = 0; i < 50; ++i) {
-      double t;
-      heap.Pop(&t);
-      calendar.Pop(&t);
-    }
-    heap.Clear();
-    calendar.Clear();
-  }
-  EXPECT_EQ(heap_ids, calendar_ids);
+  while (!q.empty()) pop_and_check();
+  EXPECT_TRUE(reference.empty());
 }
 
 // --- Inline vs queued wakeups ---
@@ -379,10 +421,9 @@ struct ScriptResult {
   bool operator==(const ScriptResult&) const = default;
 };
 
-ScriptResult RunProcessScript(QueueBackend backend, bool queued,
-                              uint64_t seed) {
+ScriptResult RunProcessScript(bool queued, uint64_t seed) {
   Rng rng(seed);
-  Simulation sim(backend);
+  Simulation sim;
   sim.EnableProfiling();
   ScriptWorld world{&sim, queued, {}, {}};
   const uint64_t processes = 1 + rng.NextBounded(4);
@@ -413,30 +454,23 @@ ScriptResult RunProcessScript(QueueBackend backend, bool queued,
 TEST(QueueDifferentialTest, InlineWakeupsMatchQueuedWakeups) {
   for (uint64_t seed = 1; seed <= 400; ++seed) {
     SCOPED_TRACE("process script seed " + std::to_string(seed));
-    const ScriptResult oracle =
-        RunProcessScript(QueueBackend::kHeap, /*queued=*/true, seed);
+    const ScriptResult oracle = RunProcessScript(/*queued=*/true, seed);
     ASSERT_EQ(oracle.live_processes, 0u);
     ASSERT_EQ(oracle.events_dispatched,
               std::accumulate(oracle.kind_dispatches.begin(),
                               oracle.kind_dispatches.end(), uint64_t{0}));
-    for (QueueBackend backend :
-         {QueueBackend::kHeap, QueueBackend::kCalendar}) {
-      SCOPED_TRACE(QueueBackendName(backend));
-      EXPECT_EQ(RunProcessScript(backend, /*queued=*/true, seed), oracle);
-      const ScriptResult fast =
-          RunProcessScript(backend, /*queued=*/false, seed);
-      ASSERT_EQ(fast.trace.size(), oracle.trace.size());
-      for (size_t i = 0; i < fast.trace.size(); ++i) {
-        ASSERT_EQ(fast.trace[i], oracle.trace[i])
-            << "first divergence at step " << i << ": who "
-            << fast.trace[i].who << " t=" << fast.trace[i].time
-            << " vs who " << oracle.trace[i].who
-            << " t=" << oracle.trace[i].time;
-      }
-      EXPECT_EQ(fast.events_dispatched, oracle.events_dispatched);
-      EXPECT_EQ(fast.kind_dispatches, oracle.kind_dispatches);
-      EXPECT_EQ(fast.live_processes, 0u);
+    const ScriptResult fast = RunProcessScript(/*queued=*/false, seed);
+    ASSERT_EQ(fast.trace.size(), oracle.trace.size());
+    for (size_t i = 0; i < fast.trace.size(); ++i) {
+      ASSERT_EQ(fast.trace[i], oracle.trace[i])
+          << "first divergence at step " << i << ": who "
+          << fast.trace[i].who << " t=" << fast.trace[i].time
+          << " vs who " << oracle.trace[i].who
+          << " t=" << oracle.trace[i].time;
     }
+    EXPECT_EQ(fast.events_dispatched, oracle.events_dispatched);
+    EXPECT_EQ(fast.kind_dispatches, oracle.kind_dispatches);
+    EXPECT_EQ(fast.live_processes, 0u);
   }
 }
 

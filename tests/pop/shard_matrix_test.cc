@@ -1,7 +1,7 @@
 // Shard-count invariance matrix (the engine's determinism contract):
-// for each golden configuration, every shard count in {1, 2, 7} and
-// both DES queue backends must produce the same report, byte for byte,
-// after wall-clock normalization. Unlike the engine-vs-golden
+// for each golden configuration, every shard count in {1, 2, 7} must
+// produce the same report, byte for byte, after wall-clock
+// normalization. Unlike the engine-vs-golden
 // differential (engine_test.cc), this holds on *coupled* configurations
 // too — pull and adaptation included — because the barrier replay order
 // never mentions shards.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/multi_client.h"
-#include "des/simulation.h"
 #include "obs/run_report.h"
 #include "pop/client_store.h"
 #include "pop/engine.h"
@@ -64,32 +63,24 @@ std::vector<std::pair<std::string, MultiClientParams>> GoldenConfigs() {
   return configs;
 }
 
-TEST(ShardMatrixTest, ReportsInvariantInShardCountAndBackend) {
+TEST(ShardMatrixTest, ReportsInvariantInShardCount) {
   for (const auto& [name, base] : GoldenConfigs()) {
     SCOPED_TRACE(name);
     std::string reference;
-    for (des::QueueBackend backend :
-         {des::QueueBackend::kHeap, des::QueueBackend::kCalendar}) {
-      for (uint64_t k : {1u, 2u, 7u}) {
-        MultiClientParams params = base;
-        params.des_queue = backend;
-        PopParams pop;
-        pop.clients = kClients;
-        pop.shards = k;
-        auto result = RunPopulationSimulation(params, pop);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        obs::RunReport report =
-            MakePopulationRunReport(params, *result, name, "test");
-        AppendPopulationExtras(pop, *result, &report);
-        const std::string bytes = SimulationBytes(std::move(report));
-        if (reference.empty()) {
-          reference = bytes;
-        } else {
-          EXPECT_EQ(bytes, reference)
-              << name << " diverged at shards=" << k << " backend="
-              << (backend == des::QueueBackend::kHeap ? "heap"
-                                                      : "calendar");
-        }
+    for (uint64_t k : {1u, 2u, 7u}) {
+      PopParams pop;
+      pop.clients = kClients;
+      pop.shards = k;
+      auto result = RunPopulationSimulation(base, pop);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      obs::RunReport report =
+          MakePopulationRunReport(base, *result, name, "test");
+      AppendPopulationExtras(pop, *result, &report);
+      const std::string bytes = SimulationBytes(std::move(report));
+      if (reference.empty()) {
+        reference = bytes;
+      } else {
+        EXPECT_EQ(bytes, reference) << name << " diverged at shards=" << k;
       }
     }
   }

@@ -7,9 +7,8 @@
 // runs each to completion under a liveness horizon, and checks global
 // invariants: no hang, every request serviced with balanced books,
 // response accounting matching the request count, and — periodically —
-// byte-identical reports under both DES backends with the process axes
-// stripped, plus byte-identical population reports re-run single-sharded
-// (the engine's shard-count invariance under full fault composition).
+// byte-identical population reports re-run single-sharded (the engine's
+// shard-count invariance under full fault composition).
 // Any violation reproduces from one integer.
 //
 //   bcastchaos --seeds 500                 # the CI smoke sweep
@@ -71,7 +70,6 @@ int Run(int argc, char** argv) {
   uint64_t seeds = 500;
   uint64_t start_seed = 0;
   uint64_t chaos_seed = 0;
-  uint64_t identity_every = 16;
   uint64_t shard_identity_every = 8;
   bool replay = false;
   bool minimize = false;
@@ -82,9 +80,6 @@ int Run(int argc, char** argv) {
   flags.AddUint64("start_seed", &start_seed, "first chaos seed");
   flags.AddUint64("chaos_seed", &chaos_seed,
                   "run exactly this seed (with --replay or --min)");
-  flags.AddUint64("identity_every", &identity_every,
-                  "every Nth seed also runs the disabled-axes two-backend "
-                  "bit-identity check (0 = never)");
   flags.AddUint64("shard_identity_every", &shard_identity_every,
                   "every Nth population seed also re-runs single-sharded "
                   "and requires a bit-identical report (0 = never)");
@@ -137,14 +132,6 @@ int Run(int argc, char** argv) {
       PrintViolations(outcome, s);
       WriteArtifacts(scenario, artifact_dir);
       continue;
-    }
-    if (identity_every > 0 && (s - start_seed) % identity_every == 0) {
-      if (auto v = chaos::CheckDisabledIdentity(scenario)) {
-        ++failures;
-        std::cerr << "FAIL seed " << s << " [" << v->invariant
-                  << "]: " << v->detail << "\n";
-        std::cerr << "repro: " << chaos::ReproCommand(s) << "\n";
-      }
     }
     if (shard_identity_every > 0 &&
         (s - start_seed) % shard_identity_every == 0) {

@@ -55,24 +55,12 @@ bool MaybeWriteReport(const obs::RunReport& report,
   return true;
 }
 
-// Appends the opt-in backend marker to \p report. Off by default: runs
-// are bit-identical under every backend, and golden reports must stay
-// byte-for-byte comparable across backends.
-void MaybeRecordBackend(obs::RunReport* report, bool record,
-                        des::QueueBackend backend) {
-  if (!record) return;
-  report->extra.emplace_back(
-      "des_queue_calendar",
-      backend == des::QueueBackend::kCalendar ? 1.0 : 0.0);
-}
-
 // Runs the population mode on the sharded engine: `pop.clients` copies
 // of the configured client whose interests are spread evenly across the
 // database, on `pop.shards` threads — results are shard-count invariant.
 int RunPopulation(const SimParams& base, const pop::PopParams& pop,
                   const std::string& report_out,
-                  const SimObservers& observers,
-                  bool record_des_queue) {
+                  const SimObservers& observers) {
   MultiClientParams params = PopulationFromSimParams(base, pop.clients);
   pop::ApplyClassProfiles(pop.classes, &params.clients);
   auto result = pop::RunPopulationSimulation(params, pop, observers);
@@ -109,7 +97,6 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
     obs::RunReport report = MakePopulationRunReport(
         params, *result, base.ToString(), "bcastsim");
     pop::AppendPopulationExtras(pop, *result, &report);
-    MaybeRecordBackend(&report, record_des_queue, result->resolved_queue);
     if (!MaybeWriteReport(report, report_out)) return 1;
   }
   return 0;
@@ -118,7 +105,7 @@ int RunPopulation(const SimParams& base, const pop::PopParams& pop,
 // Runs the updates mode with the given consistency action name.
 int RunUpdates(const SimParams& base, double update_rate,
                double update_theta, const std::string& consistency,
-               const std::string& report_out, bool record_des_queue) {
+               const std::string& report_out) {
   UpdateParams updates;
   updates.update_rate = update_rate;
   updates.update_theta = update_theta;
@@ -159,9 +146,6 @@ int RunUpdates(const SimParams& base, double update_rate,
     obs::RunReport report =
         MakeUpdateRunReport(base, updates, *result, "bcastsim");
     report.metrics = registry.TakeSnapshot();
-    MaybeRecordBackend(
-        &report, record_des_queue,
-        des::ResolveQueueBackend(base.des_queue, /*expected_clients=*/1));
     if (!MaybeWriteReport(report, report_out)) return 1;
   }
   return 0;
@@ -184,7 +168,6 @@ int Run(int argc, const char* const* argv) {
   std::string stats_out;
   double stats_interval = 1000.0;
   bool profile_des = false;
-  bool record_des_queue = false;
   std::string log_level;
 
   // The whole simulation surface comes from SimConfig; only the
@@ -219,10 +202,6 @@ int Run(int argc, const char* const* argv) {
   flags.AddBool("profile_des", &profile_des,
                 "per-event-kind DES dispatch profiling (profile_* report "
                 "extras)");
-  flags.AddBool("record_des_queue", &record_des_queue,
-                "stamp the des_queue_calendar extra (0/1) into the run "
-                "report (off by default: backends are bit-identical and "
-                "golden reports must stay byte-comparable)");
   flags.AddString("log_level", &log_level,
                   "log threshold: debug|info|warn|error|fatal");
 
@@ -258,27 +237,34 @@ int Run(int argc, const char* const* argv) {
     std::cerr << "unknown --mode: " << mode << "\n";
     return 2;
   }
-  // A flag only another mode reads would be silently ignored: refuse it.
-  std::string misplaced;
+  // A flag only another mode reads would be silently ignored, and a zero
+  // count would fail or be bumped at run time: refuse both up front.
+  std::string usage_error;
   if (mode != "population") {
     for (const char* name : {"shards", "pop_classes", "force_pop_engine"}) {
       if (flags.WasSet(name)) {
-        misplaced = std::string("--") + name +
-                    " applies to --mode=population only";
+        usage_error = std::string("--") + name +
+                      " applies to --mode=population only";
         break;
       }
     }
   }
-  if (misplaced.empty() && mode != "single" && flags.WasSet("seeds")) {
-    misplaced = "--seeds averages --mode=single runs only";
+  if (usage_error.empty() && mode != "single" && flags.WasSet("seeds")) {
+    usage_error = "--seeds averages --mode=single runs only";
   }
-  if (misplaced.empty() && mode == "population" &&
+  if (usage_error.empty() && mode == "population" &&
       flags.WasSet("knows_schedule")) {
-    misplaced = "--knows_schedule is a single-client knob; population "
-                "clients have no such setting";
+    usage_error = "--knows_schedule is a single-client knob; population "
+                  "clients have no such setting";
   }
-  if (!misplaced.empty()) {
-    std::cerr << misplaced << "\n\n" << flags.HelpText();
+  if (usage_error.empty() && mode == "population" && clients == 0) {
+    usage_error = "--clients must be at least 1";
+  }
+  if (usage_error.empty() && seeds == 0) {
+    usage_error = "--seeds must be at least 1";
+  }
+  if (!usage_error.empty()) {
+    std::cerr << usage_error << "\n\n" << flags.HelpText();
     return 2;
   }
 
@@ -291,7 +277,7 @@ int Run(int argc, const char* const* argv) {
   }
   if (mode == "updates") {
     return RunUpdates(params, update_rate, update_theta, consistency,
-                      report_out, record_des_queue);
+                      report_out);
   }
   // Observability: one registry, and (optionally) one trace sink, one
   // timeline, and one stats stream shared across all seeds. All of them
@@ -348,8 +334,7 @@ int Run(int argc, const char* const* argv) {
   if (mode == "population") {
     pop::PopParams pop = config.pop;
     pop.clients = clients;
-    return RunPopulation(params, pop, report_out, observers,
-                         record_des_queue);
+    return RunPopulation(params, pop, report_out, observers);
   }
 
   // Run (averaging over seeds if requested); keep the last run's
@@ -358,8 +343,7 @@ int Run(int argc, const char* const* argv) {
   Result<SimResult> last = Status::Internal("no runs");
   SimResult aggregate;
   bool have_aggregate = false;
-  const uint64_t num_seeds = std::max<uint64_t>(seeds, 1);
-  for (uint64_t i = 0; i < num_seeds; ++i) {
+  for (uint64_t i = 0; i < seeds; ++i) {
     SimParams run = params;
     run.seed = params.seed + i;
     last = RunSimulation(run, observers);
@@ -402,10 +386,8 @@ int Run(int argc, const char* const* argv) {
   if (stats != nullptr) stats->Flush();
   if (!report_out.empty()) {
     obs::RunReport report = MakeRunReport(params, aggregate, "bcastsim");
-    report.seeds = num_seeds;
+    report.seeds = seeds;
     report.metrics = registry.TakeSnapshot();
-    MaybeRecordBackend(&report, record_des_queue,
-                       aggregate.resolved_queue);
     if (!MaybeWriteReport(report, report_out)) return 1;
   }
   const ClientMetrics& m = last->metrics;
