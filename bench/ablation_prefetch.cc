@@ -44,8 +44,8 @@ double DemandOnly(PolicyKind policy) {
 double WithPrefetch() {
   const SimParams params = ReducedParams();
   des::Simulation sim;
-  auto program = BuildProgram(params);
-  BCAST_CHECK(program.ok());
+  auto schedule = BuildSchedule(params);
+  BCAST_CHECK(schedule.ok());
   auto layout = MakeDeltaLayout(params.disk_sizes, params.delta);
   BCAST_CHECK(layout.ok());
   auto mapping = Mapping::Make(*layout, 0, 0.0, Rng(params.seed).Split(2));
@@ -55,7 +55,7 @@ double WithPrefetch() {
                                    params.think_kind,
                                    Rng(params.seed).Split(1));
   BCAST_CHECK(gen.ok());
-  BroadcastChannel channel(&sim, &*program);
+  BroadcastChannel channel(&sim, &schedule->program);
   PrefetchClient client(&sim, &channel, &*gen, &*mapping, kCacheSize,
                         PrefetchClientConfig{kMeasured, 200000});
   sim.Spawn(client.RunRequests());

@@ -170,9 +170,9 @@ ChaosScenario GenerateScenario(uint64_t chaos_seed, const ChaosAxes& axes) {
   // cycle, so budgets calibrated in Δ-rule cycles would flag
   // slow-but-live bit-reversal runs as hangs.
   const double period = [&] {
-    Result<BroadcastProgram> program = BuildProgram(p);
-    return program.ok() ? static_cast<double>(program->period())
-                        : static_cast<double>(db);
+    Result<ServerSchedule> schedule = BuildSchedule(p);
+    return schedule.ok() ? static_cast<double>(schedule->program.period())
+                         : static_cast<double>(db);
   }();
 
   // --- Channel axes. Every value is drawn whether or not its axis is

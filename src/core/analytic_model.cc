@@ -6,6 +6,7 @@
 #include "broadcast/analysis.h"
 #include "broadcast/generator.h"
 #include "common/logging.h"
+#include "core/multi_client.h"
 #include "core/simulator.h"
 
 namespace bcast {
@@ -21,31 +22,30 @@ Result<AnalyticPrediction> PredictResponse(const SimParams& params) {
         PolicyKindName(params.policy) + " is history-dependent");
   }
 
-  Result<DiskLayout> layout =
-      params.rel_freqs.empty()
-          ? MakeDeltaLayout(params.disk_sizes, params.delta)
-          : MakeLayout(params.disk_sizes, params.rel_freqs);
-  if (!layout.ok()) return layout.status();
+  // The closed form covers the static push schedule: pull slots and the
+  // adaptive controller are outside it, so it predicts for the initial
+  // program without pull slots.
+  SimParams push = params;
+  push.pull = pull::PullParams{};
+  push.adapt = adapt::AdaptParams{};
+  Result<ServerSchedule> schedule = BuildSchedule(push);
+  if (!schedule.ok()) return schedule.status();
+  const BroadcastProgram* const program = &schedule->program;
 
-  Result<BroadcastProgram> program = BuildProgram(params);
-  if (!program.ok()) return program.status();
-
-  // Identical noise realization to RunSimulation's.
-  const Rng master(params.seed);
-  NoiseModel noise;
-  noise.percent = params.noise_percent;
-  noise.coin_pages = params.noise_scope == NoiseScope::kAccessRange
-                         ? params.access_range
-                         : 0;
-  noise.destination = params.noise_destination;
-  Result<Mapping> mapping =
-      Mapping::Make(*layout, params.offset, noise,
-                    master.Split(internal::kNoiseStream));
-  if (!mapping.ok()) return mapping.status();
-
-  Result<RegionZipfGenerator> zipf = RegionZipfGenerator::Make(
-      params.access_range, params.region_size, params.theta);
-  if (!zipf.ok()) return zipf.status();
+  // The client RunSimulation would build, from the same builder: the
+  // same layout, Noise realization and access distribution.
+  const MultiClientParams pop = PopulationFromSimParams(params, 1);
+  WorldShared shared;
+  shared.params = &pop;
+  shared.layout = &schedule->layout;
+  shared.program = program;
+  ClientInputs inputs;
+  inputs.noise_rng = Rng(params.seed).Split(internal::kNoiseStream);
+  inputs.noise_destination = params.noise_destination;
+  ClientWorld client;
+  BCAST_RETURN_IF_ERROR(BuildClientParts(shared, inputs, &client));
+  const Mapping* const mapping = client.mapping.get();
+  const AccessGenerator* const zipf = client.gen.get();
 
   // Steady-state cache content: top-CacheSize pages by the policy's
   // static value. Equal-value boundary pages are chosen by page id;

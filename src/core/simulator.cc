@@ -1,7 +1,10 @@
 #include "core/simulator.h"
 
 #include <algorithm>
-#include <functional>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "adapt/access_monitor.h"
@@ -10,32 +13,23 @@
 #include "broadcast/channel.h"
 #include "broadcast/generator.h"
 #include "broadcast/schedule_optimizer.h"
+#include "cache/factory.h"
 #include "client/client.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/zipf.h"
+#include "core/multi_client.h"
 #include "des/simulation.h"
 #include "fault/fault_model.h"
-#include "pull/hybrid.h"
+#include "fault/process_faults.h"
 #include "pull/pull_client.h"
 #include "pull/pull_server.h"
 
 namespace bcast {
 
 using internal::kNoiseStream;
-using internal::kProgramStream;
 using internal::kRequestStream;
-
-namespace {
-
-Result<DiskLayout> LayoutFromParams(const SimParams& params) {
-  return params.rel_freqs.empty()
-             ? MakeDeltaLayout(params.disk_sizes, params.delta)
-             : MakeLayout(params.disk_sizes, params.rel_freqs);
-}
-
-}  // namespace
 
 std::vector<double> NominalAccessProbs(uint64_t access_range,
                                        uint64_t region_size, double theta,
@@ -61,8 +55,11 @@ std::vector<double> NominalAccessProbs(uint64_t access_range,
   return probs;
 }
 
-Result<ServerSchedule> BuildSchedule(const SimParams& params) {
-  BCAST_RETURN_IF_ERROR(params.Validate());
+namespace {
+
+// The one schedule build behind both BuildSchedule overloads; \p params
+// must be valid.
+Result<ServerSchedule> BuildValidSchedule(const MultiClientParams& params) {
   if (params.program_kind == ProgramKind::kMultiDisk) {
     const ScheduleOptimizer* optimizer =
         FindScheduleOptimizer(params.optimizer);
@@ -75,19 +72,29 @@ Result<ServerSchedule> BuildSchedule(const SimParams& params) {
     // keeps its historical build path byte-for-byte); the others derive
     // their frequencies from the nominal access distribution.
     if (params.optimizer != "delta") {
-      request.probs =
-          NominalAccessProbs(params.access_range, params.region_size,
-                             params.theta, params.ServerDbSize());
+      request.probs = PopulationNominalProbs(params);
     }
     Result<OptimizedSchedule> built = optimizer->Build(request);
     if (!built.ok()) return built.status();
-    return ServerSchedule{std::move(built->layout), std::move(built->program),
-                          built->predicted_delay};
+    ServerSchedule out{std::move(built->layout), std::move(built->program),
+                       pull::HybridLayout{}, built->predicted_delay};
+    if (params.pull.Active()) {
+      Result<pull::HybridProgram> hybrid =
+          pull::GenerateHybridProgram(out.layout, params.pull.pull_slots);
+      if (!hybrid.ok()) return hybrid.status();
+      out.hybrid = std::move(hybrid->layout);
+      out.program = std::move(hybrid->program);
+    }
+    return out;
   }
 
   // The skewed/random study programs bypass the optimizer frontier; they
   // exist to ablate the multi-disk construction, not to compete with it.
-  Result<DiskLayout> layout = LayoutFromParams(params);
+  // Validate() admits pull only on the multi-disk program.
+  Result<DiskLayout> layout =
+      params.rel_freqs.empty()
+          ? MakeDeltaLayout(params.disk_sizes, params.delta)
+          : MakeLayout(params.disk_sizes, params.rel_freqs);
   if (!layout.ok()) return layout.status();
   Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
     if (params.program_kind == ProgramKind::kSkewed) {
@@ -97,17 +104,159 @@ Result<ServerSchedule> BuildSchedule(const SimParams& params) {
     // length are comparable.
     Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
     if (!reference.ok()) return reference.status();
-    Rng rng = Rng(params.seed).Split(kProgramStream);
+    Rng rng = Rng(params.seed).Split(internal::kProgramStream);
     return GenerateRandomProgram(*layout, reference->period(), &rng);
   }();
   if (!program.ok()) return program.status();
-  return ServerSchedule{std::move(*layout), std::move(*program), 0.0};
+  return ServerSchedule{std::move(*layout), std::move(*program),
+                        pull::HybridLayout{}, 0.0};
 }
 
-Result<BroadcastProgram> BuildProgram(const SimParams& params) {
-  Result<ServerSchedule> schedule = BuildSchedule(params);
-  if (!schedule.ok()) return schedule.status();
-  return std::move(schedule->program);
+}  // namespace
+
+Result<ServerSchedule> BuildSchedule(const MultiClientParams& params) {
+  BCAST_RETURN_IF_ERROR(params.Validate());
+  return BuildValidSchedule(params);
+}
+
+Result<ServerSchedule> BuildSchedule(const SimParams& params) {
+  // SimParams has its own rules (a single run may re-optimize from
+  // measured demand, say), so it validates as itself.
+  BCAST_RETURN_IF_ERROR(params.Validate());
+  return BuildValidSchedule(PopulationFromSimParams(params, 1));
+}
+
+std::vector<bool> ColdPageSet(const MultiClientParams& params,
+                              const BroadcastProgram& program) {
+  std::vector<bool> cold;
+  if ((!params.pull.Active() && !params.adapt.Active()) ||
+      program.num_disks() <= 1) {
+    return cold;
+  }
+  const DiskIndex coldest = static_cast<DiskIndex>(program.num_disks() - 1);
+  cold.resize(params.ServerDbSize());
+  for (PageId p = 0; p < static_cast<PageId>(cold.size()); ++p) {
+    cold[p] = program.DiskOf(p) == coldest;
+  }
+  return cold;
+}
+
+void VersionTicker::Start(des::Simulation* sim, BroadcastChannel* channel,
+                          double every) {
+  if (every <= 0.0) return;
+  channel->EnableResync();
+  tick_ = [this, sim, channel, every]() {
+    ++events_;
+    if (sim->live_processes() == 0) return;
+    channel->SetProgram(&channel->program(), sim->Now());
+    ++bumps_;
+    sim->Schedule(every, tick_, des::EventKind::kController);
+  };
+  sim->Schedule(every, tick_, des::EventKind::kController);
+}
+
+Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
+                        ClientWorld* out) {
+  const MultiClientParams& params = *shared.params;
+  const ClientSpec& spec = params.clients[in.id];
+  const uint32_t track = obs::track::Client(static_cast<uint32_t>(in.id));
+  BCAST_TIMELINE(shared.timeline,
+                 NameTrack(track, "client" + std::to_string(in.id)));
+
+  // Interest shift s composes with the offset rotation: the client's
+  // logical page l maps to physical (l + s - offset) mod total, i.e. an
+  // effective offset of (offset - s) mod total.
+  const uint64_t total = shared.layout->TotalPages();
+  const uint64_t effective_offset =
+      (spec.offset + total - spec.interest_shift % total) % total;
+  NoiseModel noise;
+  noise.percent = spec.noise_percent;
+  noise.coin_pages = spec.noise_scope == NoiseScope::kAccessRange
+                         ? spec.access_range
+                         : 0;
+  noise.destination = in.noise_destination;
+  Result<Mapping> mapping =
+      Mapping::Make(*shared.layout, effective_offset, noise, in.noise_rng);
+  if (!mapping.ok()) return mapping.status();
+  out->mapping = std::make_unique<Mapping>(std::move(*mapping));
+
+  Result<AccessGenerator> gen = AccessGenerator::Make(
+      spec.access_range, spec.region_size, spec.theta, spec.think_time,
+      spec.think_kind, in.request_rng);
+  if (!gen.ok()) return gen.status();
+  out->gen = std::make_unique<AccessGenerator>(std::move(*gen));
+
+  // The policy catalog is pinned to the *initial* program: the client's
+  // replacement knowledge (probabilities, frequencies, disks) is what it
+  // learned from the published schedule, and deliberately lags any
+  // mid-run repair the adaptive controller broadcasts.
+  out->catalog = std::make_unique<SimCatalog>(
+      out->gen.get(), shared.program, out->mapping.get());
+  PolicyOptions policy_options = spec.policy_options;
+  if (shared.hybrid != nullptr && shared.hybrid->enabled()) {
+    // The pull-aware estimator's refetch bound: the mean spacing of pull
+    // slots (one service interval, the optimistic single-request case).
+    policy_options.pull_service_interval = shared.hybrid->ServiceInterval();
+  }
+  // The cache is keyed by logical page and only ever sees pages the
+  // generator draws, so it spans the access range, not the database.
+  Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
+      spec.policy, spec.cache_size, static_cast<PageId>(spec.access_range),
+      out->catalog.get(), policy_options);
+  if (!cache.ok()) return cache.status();
+  out->cache = std::move(*cache);
+
+  // The receiver exists only for active fault params: an inactive run
+  // builds no fault machinery and draws no extra randomness. Each client
+  // gets its own radio: (client id)-keyed fault streams, its own doze
+  // phase, class-scaled knobs.
+  if (params.fault.Active()) {
+    out->receiver = fault::MakeReceiver(
+        ScaledFaultParams(params.fault, spec), in.id,
+        static_cast<double>(shared.program->period()));
+    out->receiver->AttachTimeline(shared.timeline, track);
+    if (in.loss_sink != nullptr) out->receiver->AttachLossSink(in.loss_sink);
+    if (in.server_faults != nullptr) {
+      out->receiver->AttachServerFaults(in.server_faults);
+    }
+  }
+  return Status::OK();
+}
+
+Status BuildClientWorld(const WorldShared& shared, ClientInputs in,
+                        ClientWorld* out) {
+  BCAST_RETURN_IF_ERROR(BuildClientParts(shared, in, out));
+  const MultiClientParams& params = *shared.params;
+  out->pull = std::move(in.pull);
+  // Crash–restart state loss: a restart forgets the in-flight pull
+  // request (the server's orphaned copy stays accounted) and — on a cold
+  // restart — the cache contents. The receiver resets its own volatile
+  // timers; this hook covers the state it does not own.
+  if (params.fault.process.CrashActive()) {
+    out->receiver->SetCrashHook(
+        [pull = out->pull.get(), cache = out->cache.get(),
+         cold = params.fault.process.crash_cold]() {
+          if (pull != nullptr) pull->OnCrash();
+          if (cold) cache->Clear();
+        });
+  }
+  ClientRunConfig config;
+  config.measured_requests = params.measured_requests;
+  config.max_warmup_requests = params.max_warmup_requests;
+  config.knows_schedule = in.knows_schedule;
+  config.trace = shared.trace;
+  config.receiver = out->receiver.get();
+  config.pull = out->pull.get();
+  config.access = in.access;
+  config.client_id = static_cast<uint32_t>(in.id);
+  if (shared.cold_pages != nullptr && !shared.cold_pages->empty()) {
+    config.cold_pages = shared.cold_pages;
+    config.cold_wait = in.cold_wait;
+  }
+  out->client = std::make_unique<Client>(in.sim, in.channel,
+                                         out->cache.get(), out->gen.get(),
+                                         out->mapping.get(), config);
+  return Status::OK();
 }
 
 Result<SimResult> RunSimulation(const SimParams& params) {
@@ -120,106 +269,36 @@ Result<SimResult> RunSimulation(const SimParams& params,
   obs::Stopwatch total_watch;
 
   BCAST_RETURN_IF_ERROR(params.Validate());
-
-  // The configured optimizer designs layout and program together. With
-  // active pull params the program on the air is the hybrid one: the
-  // optimizer's program with pull slots interleaved into every minor
-  // cycle (identical to the plain program when pull_slots == 0).
-  pull::HybridLayout hybrid_layout;
-  Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
+  // At the parameter level a single run is a population of one.
+  const MultiClientParams pop = PopulationFromSimParams(params, 1);
+  Result<ServerSchedule> schedule = [&]() {
     obs::ScopedTimer timer(&result.timings.build_program_seconds);
-    Result<ServerSchedule> built = BuildSchedule(params);
-    if (!built.ok()) return built;
-    if (params.pull.Active()) {
-      Result<pull::HybridProgram> hybrid = pull::GenerateHybridProgram(
-          built->layout, params.pull.pull_slots);
-      if (!hybrid.ok()) return hybrid.status();
-      hybrid_layout = std::move(hybrid->layout);
-      built->program = std::move(hybrid->program);
-    }
-    return built;
+    return BuildSchedule(params);
   }();
   if (!schedule.ok()) return schedule.status();
   result.predicted_delay = schedule->predicted_delay;
   const DiskLayout* const layout = &schedule->layout;
-  BroadcastProgram* const program = &schedule->program;
+  const BroadcastProgram* const program = &schedule->program;
 
   obs::Stopwatch setup_watch;
-  const Rng master(params.seed);
-  NoiseModel noise;
-  noise.percent = params.noise_percent;
-  noise.coin_pages = params.noise_scope == NoiseScope::kAccessRange
-                         ? params.access_range
-                         : 0;
-  noise.destination = params.noise_destination;
-  Result<Mapping> mapping = Mapping::Make(*layout, params.offset, noise,
-                                          master.Split(kNoiseStream));
-  if (!mapping.ok()) return mapping.status();
-
-  Result<AccessGenerator> gen = AccessGenerator::Make(
-      params.access_range, params.region_size, params.theta,
-      params.think_time, params.think_kind, master.Split(kRequestStream));
-  if (!gen.ok()) return gen.status();
-
-  // The policy catalog is pinned to the *initial* program: the client's
-  // replacement knowledge (probabilities, frequencies, disks) is what it
-  // learned from the published schedule, and deliberately lags any
-  // mid-run repair the adaptive controller broadcasts.
-  SimCatalog catalog(&*gen, &*program, &*mapping);
-  PolicyOptions policy_options = params.policy_options;
-  if (params.pull.Active() && hybrid_layout.enabled()) {
-    // The pull-aware estimator's refetch bound: the mean spacing of pull
-    // slots (one service interval, the optimistic single-request case).
-    policy_options.pull_service_interval =
-        static_cast<double>(hybrid_layout.period()) /
-        static_cast<double>(hybrid_layout.pull_per_minor *
-                            hybrid_layout.num_minor);
-  }
-  // Keyed by logical page: the client only requests [0, access_range).
-  Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
-      params.policy, params.cache_size,
-      static_cast<PageId>(params.access_range), &catalog, policy_options);
-  if (!cache.ok()) return cache.status();
-
   des::Simulation sim;
   if (observers.profile_des) sim.EnableProfiling();
   sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline,
                  NameTrack(obs::track::kSim, "des"));
-  BCAST_TIMELINE(observers.timeline,
-                 NameTrack(obs::track::Client(0), "client0"));
-  BroadcastChannel channel(&sim, &*program);
-  // The receiver exists only for active fault params: an inactive run
-  // builds no fault machinery and draws no extra randomness.
-  std::unique_ptr<fault::Receiver> receiver;
-  if (params.fault.Active()) {
-    receiver = fault::MakeReceiver(params.fault, /*client_id=*/0,
-                                   static_cast<double>(program->period()));
-    receiver->AttachTimeline(observers.timeline, obs::track::Client(0));
-  }
+  BroadcastChannel channel(&sim, program);
   // Server-side process faults (transmission stalls + slot jitter): one
   // plane per run, shared by every receiver — the server's trouble is
-  // common-mode. Built only when the axes are on; an inactive run
-  // attaches nothing and draws nothing.
-  std::unique_ptr<fault::ServerFaultPlane> server_faults;
-  if (params.fault.process.ServerActive()) {
-    Rng salt_rng = fault::FaultStream(Rng(params.fault.fault_seed),
-                                      /*client_id=*/0,
-                                      fault::Purpose::kJitter);
-    server_faults = std::make_unique<fault::ServerFaultPlane>(
-        params.fault.process,
-        fault::FaultStream(Rng(params.fault.fault_seed), /*client_id=*/0,
-                           fault::Purpose::kStall),
-        salt_rng.Next());
-    receiver->AttachServerFaults(server_faults.get());
-  }
+  // common-mode.
+  const std::unique_ptr<fault::ServerFaultPlane> server_faults =
+      fault::MakeServerFaultPlane(params.fault);
   // Pull machinery exists only for active pull params; with zero pull
   // slots the server is inert (never attached, never scheduling), so
   // the forced zero-capacity path stays bit-identical to pure push.
   std::unique_ptr<pull::PullServer> pull_server;
   std::unique_ptr<pull::PullClient> pull_client;
   if (params.pull.Active()) {
-    pull_server = std::make_unique<pull::PullServer>(&sim, hybrid_layout,
+    pull_server = std::make_unique<pull::PullServer>(&sim, schedule->hybrid,
                                                      params.pull);
     if (pull_server->enabled()) channel.AttachPullServer(pull_server.get());
     BCAST_TIMELINE(observers.timeline,
@@ -239,32 +318,7 @@ Result<SimResult> RunSimulation(const SimParams& params,
     pull_client = std::make_unique<pull::PullClient>(
         &sim, pull_server.get(), params.pull, uplink_rng, uplink_loss);
   }
-  // Crash–restart state loss: a restart forgets the in-flight pull
-  // request (the server's orphaned copy stays accounted) and — on a cold
-  // restart — the cache contents. The receiver's own volatile timers are
-  // reset inside its crash application; this hook covers the state it
-  // does not own.
-  if (params.fault.process.CrashActive()) {
-    receiver->SetCrashHook(
-        [pull = pull_client.get(), cache_ptr = cache->get(),
-         cold = params.fault.process.crash_cold]() {
-          if (pull != nullptr) pull->OnCrash();
-          if (cold) cache_ptr->Clear();
-        });
-  }
-  // The cold-page set pinned to the initial program: the slowest-disk
-  // class whose fate the adaptive gates (and the pull ablations) track
-  // across runs. Built only when something can use it.
-  std::vector<bool> cold_pages;
-  if ((params.pull.Active() || params.adapt.Active()) &&
-      program->num_disks() > 1) {
-    const DiskIndex coldest =
-        static_cast<DiskIndex>(program->num_disks() - 1);
-    cold_pages.resize(params.ServerDbSize());
-    for (PageId p = 0; p < static_cast<PageId>(cold_pages.size()); ++p) {
-      cold_pages[p] = program->DiskOf(p) == coldest;
-    }
-  }
+  const std::vector<bool> cold_pages = ColdPageSet(pop, *program);
   // The adaptive control plane: a shared loss monitor (and, under
   // --adapt_reopt, a demand monitor) feeding the epoch controller.
   // Nothing is built (and no event scheduled) when off.
@@ -272,10 +326,9 @@ Result<SimResult> RunSimulation(const SimParams& params,
   std::unique_ptr<adapt::AccessMonitor> access_monitor;
   std::unique_ptr<adapt::Controller> controller;
   if (params.adapt.Active()) {
-    if (receiver != nullptr) {
+    if (params.fault.Active()) {
       loss_monitor = std::make_unique<adapt::LossMonitor>(
           static_cast<PageId>(params.ServerDbSize()));
-      receiver->AttachLossSink(loss_monitor.get());
     }
     if (params.adapt.reopt) {
       access_monitor = std::make_unique<adapt::AccessMonitor>(
@@ -293,10 +346,9 @@ Result<SimResult> RunSimulation(const SimParams& params,
       // rebuilds must not regenerate through GenerateMultiDiskProgram;
       // the geometry never changes mid-run, so the original seat program
       // (seats == pages at build time) is exactly the rebuild target.
-      const BroadcastProgram* const seat_program = program;
       hooks.make_program =
-          [seat_program](const DiskLayout&) -> Result<BroadcastProgram> {
-        return BroadcastProgram(*seat_program);
+          [program](const DiskLayout&) -> Result<BroadcastProgram> {
+        return BroadcastProgram(*program);
       };
     }
     controller = std::make_unique<adapt::Controller>(&sim, *layout,
@@ -304,26 +356,38 @@ Result<SimResult> RunSimulation(const SimParams& params,
     BCAST_TIMELINE(observers.timeline,
                    NameTrack(obs::track::kController, "adapt"));
   }
-  ClientRunConfig run_config{params.measured_requests,
-                             params.max_warmup_requests,
-                             params.knows_schedule, observers.trace,
-                             receiver.get(), pull_client.get()};
-  run_config.access = access_monitor.get();
-  if (!cold_pages.empty()) {
-    run_config.cold_pages = &cold_pages;
-    if (controller != nullptr) {
-      run_config.cold_wait = &controller->stats().cold_wait;
-    }
-  }
-  Client client(&sim, &channel, cache->get(), &*gen, &*mapping,
-                run_config);
+
+  WorldShared shared;
+  shared.params = &pop;
+  shared.layout = layout;
+  shared.program = program;
+  shared.hybrid = &schedule->hybrid;
+  shared.cold_pages = &cold_pages;
+  shared.timeline = observers.timeline;
+  shared.trace = observers.trace;
+  const Rng master(params.seed);
+  ClientInputs inputs;
+  inputs.noise_rng = master.Split(kNoiseStream);
+  inputs.request_rng = master.Split(kRequestStream);
+  inputs.sim = &sim;
+  inputs.channel = &channel;
+  inputs.server_faults = server_faults.get();
+  inputs.loss_sink = loss_monitor.get();
+  inputs.pull = std::move(pull_client);
+  inputs.cold_wait =
+      controller != nullptr ? &controller->stats().cold_wait : nullptr;
+  inputs.noise_destination = params.noise_destination;
+  inputs.knows_schedule = params.knows_schedule;
+  inputs.access = access_monitor.get();
+  ClientWorld world;
+  BCAST_RETURN_IF_ERROR(BuildClientWorld(shared, std::move(inputs), &world));
+  const Client& client = *world.client;
   result.timings.setup_seconds = setup_watch.ElapsedSeconds();
 
-  // The periodic stats sampler. It is the one observer that *does* add
-  // DES events (tagged kStats, visible in events_dispatched), so golden
-  // comparisons keep it off; with it off the run is bit-identical. The
-  // tick re-arms only while the client is unfinished — a perpetual
-  // event would keep the queue non-empty and Run() would never return.
+  // The periodic stats sampler: the loop steps RunUntil over the stats
+  // grid and samples between steps, so it adds no DES events. The grid
+  // stays armed while the client is unfinished; end_time therefore
+  // rounds up to the last sample, as in the population engine.
   uint64_t stats_prev_requests = 0;
   uint64_t stats_prev_hits = 0;
   double stats_prev_rt_sum = 0.0;
@@ -349,9 +413,9 @@ Result<SimResult> RunSimulation(const SimParams& params,
       s.pull_queue_depth = pull_server->queue_depth();
       s.pull_serviced = pull_server->stats().serviced_pages;
     }
-    if (receiver != nullptr) {
-      s.fault_lost = receiver->stats().lost;
-      s.fault_retries = receiver->stats().retries;
+    if (world.receiver != nullptr) {
+      s.fault_lost = world.receiver->stats().lost;
+      s.fault_retries = world.receiver->stats().retries;
     }
     s.final_sample = final_sample;
     stats_prev_requests = s.requests;
@@ -359,46 +423,26 @@ Result<SimResult> RunSimulation(const SimParams& params,
     stats_prev_rt_sum = rt_sum;
     observers.stats->Write(s);
   };
-  std::function<void()> stats_tick;
+
+  VersionTicker version_ticker;
+  version_ticker.Start(&sim, &channel, params.fault.process.version_every);
+  sim.Spawn(world.client->Run());
+  if (controller != nullptr) controller->Start();
+  // A horizon bounds the run: the chaos harness's no-hang check. A
+  // scenario whose client cannot finish by it is a liveness violation,
+  // reported as an error instead of aborting the process.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double horizon = observers.horizon > 0.0 ? observers.horizon : kInf;
   if (observers.stats != nullptr) {
     const double interval = std::max(observers.stats_interval, 1.0);
-    stats_tick = [&take_stats_sample, &stats_tick, &sim, &client,
-                  interval]() {
+    for (double next = interval; next <= horizon; next += interval) {
+      sim.RunUntil(next);
       take_stats_sample(false);
-      if (!client.finished()) {
-        sim.Schedule(interval, stats_tick, des::EventKind::kStats);
-      }
-    };
-    sim.Schedule(interval, stats_tick, des::EventKind::kStats);
+      if (client.finished()) break;
+    }
   }
-
-  // Schedule-version bumps: every version_every slots the server
-  // re-announces its program (same content, new epoch), which re-arms
-  // every in-flight wait through the resync path — a program switch as a
-  // fault source mid-tune. The tick re-arms only while the client runs,
-  // like the stats sampler, so the queue still drains.
-  uint64_t version_bumps = 0;
-  std::function<void()> version_tick;
-  if (params.fault.process.version_every > 0.0) {
-    channel.EnableResync();
-    const double every = params.fault.process.version_every;
-    version_tick = [&version_tick, &version_bumps, &sim, &channel,
-                    every]() {
-      if (sim.live_processes() == 0) return;
-      channel.SetProgram(&channel.program(), sim.Now());
-      ++version_bumps;
-      sim.Schedule(every, version_tick, des::EventKind::kController);
-    };
-    sim.Schedule(every, version_tick, des::EventKind::kController);
-  }
-
-  sim.Spawn(client.Run());
-  if (controller != nullptr) controller->Start();
-  if (observers.horizon > 0.0) {
-    // Bounded run: the chaos harness's no-hang check. A scenario whose
-    // client cannot finish by the horizon is a liveness violation,
-    // reported as an error instead of aborting the process.
-    sim.RunUntil(observers.horizon);
+  if (horizon < kInf) {
+    sim.RunUntil(horizon);
     if (!client.finished()) {
       return Status::Internal(StrFormat(
           "no-hang violation: client unfinished at horizon %.0f "
@@ -422,14 +466,14 @@ Result<SimResult> RunSimulation(const SimParams& params,
   result.end_time = sim.Now();
   result.period = program->period();
   result.empty_slots = program->EmptySlots();
-  result.perturbed_pages = mapping->PerturbedPages();
+  result.perturbed_pages = world.mapping->PerturbedPages();
   result.timings.warmup_seconds = client.warmup_wall_seconds();
   result.timings.measured_seconds = client.measured_wall_seconds();
   result.events_dispatched = sim.events_dispatched();
   result.timings.total_seconds = total_watch.ElapsedSeconds();
-  if (receiver != nullptr) {
-    result.faults = receiver->stats();
-    result.faults.version_bumps = version_bumps;
+  if (world.receiver != nullptr) {
+    result.faults = world.receiver->stats();
+    result.faults.version_bumps = version_ticker.bumps();
     result.faults_active = true;
   }
   if (pull_server != nullptr) {

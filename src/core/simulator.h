@@ -1,22 +1,36 @@
 /// \file simulator.h
 /// \brief End-to-end wiring: params → program + mapping + cache + client →
 /// one simulated run → results.
+///
+/// `BuildSchedule` and `BuildClientWorld` are the one place a run's
+/// schedule and a client's world are built; the single, updates and
+/// population runners and the analytic model all call them. A single run
+/// is a population of one there (`PopulationFromSimParams(params, 1)`,
+/// client 0), and what it does differently is passed in as data.
 
 #ifndef BCAST_CORE_SIMULATOR_H_
 #define BCAST_CORE_SIMULATOR_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "adapt/adapt_params.h"
 #include "adapt/adapt_stats.h"
+#include "adapt/access_monitor.h"
+#include "adapt/loss_monitor.h"
+#include "broadcast/channel.h"
 #include "broadcast/disk_config.h"
 #include "broadcast/program.h"
+#include "client/access_generator.h"
+#include "client/client.h"
 #include "client/mapping.h"
 #include "core/metrics.h"
 #include "core/params.h"
 #include "des/simulation.h"
+#include "fault/process_faults.h"
 #include "fault/recovery.h"
 #include "obs/registry.h"
 #include "obs/run_report.h"
@@ -24,10 +38,15 @@
 #include "obs/stopwatch.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "pull/hybrid.h"
+#include "pull/pull_client.h"
 #include "pull/pull_params.h"
 #include "pull/pull_stats.h"
 
 namespace bcast {
+
+struct ClientSpec;
+struct MultiClientParams;
 
 namespace internal {
 /// Named RNG sub-streams shared by every runner (simulator, analytic
@@ -41,11 +60,14 @@ inline constexpr uint64_t kUpdateStream = 7;
 }  // namespace internal
 
 /// \brief The server-side schedule one run broadcasts: the layout the
-/// chosen `ScheduleOptimizer` designed, the (push-only) program over it,
-/// and the optimizer's analytic expected-delay prediction.
+/// chosen `ScheduleOptimizer` designed, the program on the air over it
+/// (with active pull, the optimizer's program with pull slots interleaved
+/// into every minor cycle), where those pull slots sit, and the
+/// optimizer's analytic expected-delay prediction.
 struct ServerSchedule {
   DiskLayout layout;
   BroadcastProgram program;
+  pull::HybridLayout hybrid;  ///< disabled when pull is off
 
   /// Expected wait (broadcast units, to transmission start) the optimizer
   /// predicts under the nominal access distribution; 0 when the schedule
@@ -129,11 +151,12 @@ struct SimObservers {
   /// epochs. Observation only: the attached run stays bit-identical.
   obs::TimelineWriter* timeline = nullptr;
 
-  /// Periodic stats stream (unowned). When set, a sampler event fires
-  /// every `stats_interval` simulated slots and appends one JSONL
-  /// snapshot; one exact final sample is appended after the run. The
-  /// sampler adds events to the DES (visible in `events_dispatched`),
-  /// so golden-report comparisons must keep it off.
+  /// Periodic stats stream (unowned). When set, the run steps its
+  /// event loop to every multiple of `stats_interval` simulated slots
+  /// while a client is unfinished and appends one JSONL snapshot there;
+  /// one exact final sample is appended after the run. Sampling adds no
+  /// DES events: an observed run equals an unobserved one except that
+  /// `end_time` may round up to the last sample time.
   obs::StatsWriter* stats = nullptr;
 
   /// Slots between stats samples (>= 1; values below 1 are clamped).
@@ -180,6 +203,66 @@ class SimCatalog : public PageCatalog {
   const Mapping* mapping_;
 };
 
+/// \brief One client's private machinery, in index-stable storage so the
+/// spawned coroutine can reference it. `BuildClientParts` fills the
+/// first five members, `BuildClientWorld` all of them.
+struct ClientWorld {
+  std::unique_ptr<Mapping> mapping;
+  std::unique_ptr<AccessGenerator> gen;
+  std::unique_ptr<SimCatalog> catalog;
+  std::unique_ptr<CachePolicy> cache;
+  std::unique_ptr<fault::Receiver> receiver;  // null when faults are off
+  std::unique_ptr<pull::PullClient> pull;     // null when pull is off
+  std::unique_ptr<Client> client;
+};
+
+/// \brief What every client world of a run shares (read-only, unowned;
+/// all must outlive the worlds built against it).
+struct WorldShared {
+  const MultiClientParams* params = nullptr;
+  const DiskLayout* layout = nullptr;
+  const BroadcastProgram* program = nullptr;      ///< initial on-air program
+  const pull::HybridLayout* hybrid = nullptr;     ///< may be null
+  const std::vector<bool>* cold_pages = nullptr;  ///< may be null or empty
+  obs::TimelineWriter* timeline = nullptr;        ///< may be null
+  obs::TraceSink* trace = nullptr;                ///< may be null
+};
+
+/// \brief What the caller supplies for client `id`
+/// (`params->clients[id]`): everything a single run and a population
+/// member do differently.
+struct ClientInputs {
+  uint64_t id = 0;
+
+  /// A single run passes the master seed's kNoiseStream/kRequestStream
+  /// splits; population client c splits its sub-stream 1000 + c.
+  Rng noise_rng;
+  Rng request_rng;
+
+  /// The simulation the client joins — a single run's, or its shard's —
+  /// and that simulation's server fault plane and adaptive loss monitor
+  /// (each null when off).
+  des::Simulation* sim = nullptr;
+  BroadcastChannel* channel = nullptr;
+  fault::ServerFaultPlane* server_faults = nullptr;
+  adapt::LossMonitor* loss_sink = nullptr;
+
+  /// The pull requester, already attached to its server: a direct
+  /// `PullServer` in single mode, the shard transport in the engine.
+  /// Null when pull is off.
+  std::unique_ptr<pull::PullClient> pull;
+
+  /// Where measured cold-page waits land; may be null.
+  obs::LogHistogram* cold_wait = nullptr;
+
+  /// Read only by single mode: Noise's destination rule, schedule
+  /// knowledge (tuning metric only) and the `--adapt_reopt` monitor.
+  NoiseModel::Destination noise_destination =
+      NoiseModel::Destination::kUniformDisk;
+  bool knows_schedule = false;
+  adapt::AccessMonitor* access = nullptr;
+};
+
 /// \brief The nominal per-page access probabilities the server designs
 /// against: the client's RegionZipf distribution over the hottest
 /// `access_range` physical pages, padded with zeros to \p db_size.
@@ -195,18 +278,63 @@ std::vector<double> NominalAccessProbs(uint64_t access_range,
                                        uint64_t region_size, double theta,
                                        uint64_t db_size);
 
-/// \brief Builds the full server schedule \p params describes: for the
+/// \brief Builds the schedule a population broadcasts: for the
 /// multi-disk program, the configured `ScheduleOptimizer` ("delta",
-/// "ksy", "rbo") designs layout and program together; the skewed and
-/// random study programs bypass the optimizer frontier and carry the
-/// Δ-rule (or explicit-frequency) layout.
+/// "ksy", "rbo") designs layout and program together from
+/// `PopulationNominalProbs`; the skewed and random study programs bypass
+/// the optimizer frontier and carry the Δ-rule (or explicit-frequency)
+/// layout. Active pull interleaves its slots last.
+Result<ServerSchedule> BuildSchedule(const MultiClientParams& params);
+
+/// \brief The schedule of a single run: validates \p params, then builds
+/// the schedule of `PopulationFromSimParams(params, 1)` — bit-identical,
+/// since the mean of one distribution is that distribution.
 Result<ServerSchedule> BuildSchedule(const SimParams& params);
 
-/// \brief Builds the broadcast program \p params describes (multi-disk,
-/// skewed, or random; the paper's Delta rule or explicit frequencies).
-/// A thin wrapper over `BuildSchedule` for callers that only need the
-/// program (the chaos version axis, the updates runner).
-Result<BroadcastProgram> BuildProgram(const SimParams& params);
+/// \brief The cold-page set pinned to the initial \p program, indexed by
+/// physical page: the slowest disk's pages, whose fate the adaptive
+/// gates and the pull ablations track across runs. Empty unless pull or
+/// adaptation is on and the program has more than one disk.
+std::vector<bool> ColdPageSet(const MultiClientParams& params,
+                              const BroadcastProgram& program);
+
+/// \brief The schedule-version chain of `fault.process.version_every`:
+/// every `every` slots the server re-announces its program (same
+/// content, new epoch), which re-arms every in-flight wait through the
+/// resync path. The chain dies with the simulation's last live process,
+/// so the event queue still drains.
+class VersionTicker {
+ public:
+  VersionTicker() = default;
+  VersionTicker(const VersionTicker&) = delete;
+  VersionTicker& operator=(const VersionTicker&) = delete;
+
+  /// Arms the chain on \p channel; does nothing when \p every is 0.
+  void Start(des::Simulation* sim, BroadcastChannel* channel, double every);
+
+  /// Re-announces performed.
+  uint64_t bumps() const { return bumps_; }
+
+  /// Tick events fired: every bump plus the final dead-chain firing.
+  uint64_t events() const { return events_; }
+
+ private:
+  std::function<void()> tick_;
+  uint64_t bumps_ = 0;
+  uint64_t events_ = 0;
+};
+
+/// \brief Builds the parts of client `in.id` that need no simulation —
+/// mapping, access generator, catalog, cache and (active faults)
+/// receiver — for the updates runner and the analytic model. Reads `params`, `layout`, `program` and, when set, `hybrid`
+/// and `timeline` of \p shared, and `server_faults`/`loss_sink` of \p in.
+Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
+                        ClientWorld* out);
+
+/// \brief Builds client `in.id`'s whole world: its parts, its crash hook,
+/// and the `Client` ready to be spawned on `in.sim`.
+Status BuildClientWorld(const WorldShared& shared, ClientInputs in,
+                        ClientWorld* out);
 
 /// \brief Runs one complete simulation. Deterministic in `params.seed`
 /// (observability hooks never touch simulation randomness).

@@ -6,10 +6,9 @@
 #include <memory>
 
 #include "broadcast/channel.h"
-#include "broadcast/generator.h"
-#include "client/client.h"
 #include "common/logging.h"
 #include "common/zipf.h"
+#include "core/multi_client.h"
 #include "core/simulator.h"
 #include "des/simulation.h"
 #include "obs/stopwatch.h"
@@ -253,6 +252,16 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
         "updates mode does not model the backchannel; drop the pull "
         "params");
   }
+  if (base.fault.process.Active()) {
+    return Status::InvalidArgument(
+        "updates mode does not model process faults (crashes, stalls, "
+        "slot jitter, version bumps); drop the process-fault params");
+  }
+  if (base.adapt.Active()) {
+    return Status::InvalidArgument(
+        "updates mode does not run the adaptive controller; drop the "
+        "adapt params");
+  }
   if (updates.update_rate < 0.0 || !std::isfinite(updates.update_rate)) {
     return Status::InvalidArgument("update_rate must be finite and >= 0");
   }
@@ -267,48 +276,30 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
         "zero (naps off)");
   }
 
-  Result<DiskLayout> layout =
-      base.rel_freqs.empty() ? MakeDeltaLayout(base.disk_sizes, base.delta)
-                             : MakeLayout(base.disk_sizes, base.rel_freqs);
-  if (!layout.ok()) return layout.status();
-  Result<BroadcastProgram> program = BuildProgram(base);
-  if (!program.ok()) return program.status();
-
+  // The server's schedule and the client's parts come from the same
+  // builders as a single run's: a population of one, client 0.
+  const MultiClientParams pop = PopulationFromSimParams(base, 1);
+  Result<ServerSchedule> schedule = BuildSchedule(base);
+  if (!schedule.ok()) return schedule.status();
   const Rng master(base.seed);
-  NoiseModel noise;
-  noise.percent = base.noise_percent;
-  noise.coin_pages = base.noise_scope == NoiseScope::kAccessRange
-                         ? base.access_range
-                         : 0;
-  noise.destination = base.noise_destination;
-  Result<Mapping> mapping = Mapping::Make(*layout, base.offset, noise,
-                                          master.Split(kNoiseStream));
-  if (!mapping.ok()) return mapping.status();
-
-  Result<AccessGenerator> gen = AccessGenerator::Make(
-      base.access_range, base.region_size, base.theta, base.think_time,
-      base.think_kind, master.Split(kRequestStream));
-  if (!gen.ok()) return gen.status();
+  WorldShared shared;
+  shared.params = &pop;
+  shared.layout = &schedule->layout;
+  shared.program = &schedule->program;
+  ClientInputs inputs;
+  inputs.noise_rng = master.Split(kNoiseStream);
+  inputs.request_rng = master.Split(kRequestStream);
+  inputs.noise_destination = base.noise_destination;
+  ClientWorld world;
+  BCAST_RETURN_IF_ERROR(BuildClientParts(shared, inputs, &world));
 
   Result<UpdateTracker> tracker = UpdateTracker::Make(
       static_cast<PageId>(base.ServerDbSize()), updates.update_rate,
       updates.update_theta, master.Split(kUpdateStream));
   if (!tracker.ok()) return tracker.status();
 
-  SimCatalog catalog(&*gen, &*program, &*mapping);
-  // Keyed by logical page: the client only requests [0, access_range).
-  Result<std::unique_ptr<CachePolicy>> cache = MakeCachePolicy(
-      base.policy, base.cache_size, static_cast<PageId>(base.access_range),
-      &catalog, base.policy_options);
-  if (!cache.ok()) return cache.status();
-
   des::Simulation sim;
-  BroadcastChannel channel(&sim, &*program);
-  std::unique_ptr<fault::Receiver> receiver;
-  if (base.fault.Active()) {
-    receiver = fault::MakeReceiver(base.fault, /*client_id=*/0,
-                                   static_cast<double>(program->period()));
-  }
+  BroadcastChannel channel(&sim, &schedule->program);
   // GCC 12 issues a spurious maybe-uninitialized for the value-initialized
   // histogram vectors nested in `result` once the aggregate crosses an
   // inlining threshold; every member below is explicitly initialized.
@@ -317,18 +308,18 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
   VolatileClient client{
       &sim,
       &channel,
-      cache->get(),
-      &*gen,
-      &*mapping,
+      world.cache.get(),
+      world.gen.get(),
+      world.mapping.get(),
       &*tracker,
-      receiver.get(),
+      world.receiver.get(),
       updates.action,
       base.measured_requests,
       base.max_warmup_requests,
       updates.awake_for,
       updates.sleep_for,
       updates.invalidation_window_cycles,
-      std::vector<double>((*cache)->num_pages(),
+      std::vector<double>(world.cache->num_pages(),
                           -std::numeric_limits<double>::infinity()),
       {},
       {},
@@ -347,8 +338,8 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
   client.result.response = client.response_hist.Summary();
   client.result.wall_seconds = run_watch.ElapsedSeconds();
   client.result.events_dispatched = sim.events_dispatched();
-  if (receiver != nullptr) {
-    client.result.faults = receiver->stats();
+  if (world.receiver != nullptr) {
+    client.result.faults = world.receiver->stats();
     client.result.faults_active = true;
   }
 

@@ -166,7 +166,10 @@ struct UpdateSimResult {
 
 /// \brief Runs the paper's client/server simulation with updates.
 /// `base` supplies the broadcast, workload, cache and seeds; `updates`
-/// the volatility model. Deterministic in `base.seed`.
+/// the volatility model. Deterministic in `base.seed`. The runner
+/// models channel faults but not pull, process faults or adaptation:
+/// active `base.pull`, `base.fault.process` or `base.adapt` params are
+/// rejected with InvalidArgument rather than silently ignored.
 Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
                                             const UpdateParams& updates);
 

@@ -31,8 +31,6 @@ const char* EventKindName(EventKind kind) {
       return "pull";
     case EventKind::kController:
       return "controller";
-    case EventKind::kStats:
-      return "stats";
   }
   return "unknown";
 }

@@ -28,11 +28,10 @@ enum class EventKind : uint8_t {
   kSlot,           ///< broadcast-channel slot arrivals
   kPull,           ///< pull-server service/delivery and client timeouts
   kController,     ///< adaptive-controller epoch ticks
-  kStats,          ///< periodic stats-stream sampling
 };
 
 /// Number of distinct `EventKind` values (array sizing).
-inline constexpr size_t kNumEventKinds = 8;
+inline constexpr size_t kNumEventKinds = 7;
 
 /// Stable lower-case name of \p kind (report extra keys).
 const char* EventKindName(EventKind kind);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "fault/fault_model.h"
 
 namespace bcast::fault {
 
@@ -66,6 +67,17 @@ ServerFaultPlane::ServerFaultPlane(const ProcessFaultParams& params,
   if (params.stall_every > 0.0) {
     stalls_.emplace(stall_rng, params.stall_every, params.stall_len);
   }
+}
+
+std::unique_ptr<ServerFaultPlane> MakeServerFaultPlane(
+    const FaultParams& params) {
+  if (!params.process.ServerActive()) return nullptr;
+  Rng salt_rng =
+      FaultStream(Rng(params.fault_seed), /*client_id=*/0, Purpose::kJitter);
+  return std::make_unique<ServerFaultPlane>(
+      params.process,
+      FaultStream(Rng(params.fault_seed), /*client_id=*/0, Purpose::kStall),
+      salt_rng.Next());
 }
 
 bool ServerFaultPlane::StalledDuring(double from, double to) {

@@ -15,6 +15,7 @@
 #define BCAST_FAULT_PROCESS_FAULTS_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -98,6 +99,14 @@ class ServerFaultPlane {
   double jitter_;
   uint64_t jitter_salt_;
 };
+
+/// \brief The run's server fault plane for \p params: stalls from the
+/// (0, kStall) fault stream, the jitter salt from (0, kJitter). Every
+/// replica built from the same params answers exactly like one shared
+/// plane, so each population shard may own its own. Null when no
+/// server-side axis is on: an inactive run attaches and draws nothing.
+std::unique_ptr<ServerFaultPlane> MakeServerFaultPlane(
+    const FaultParams& params);
 
 }  // namespace bcast::fault
 

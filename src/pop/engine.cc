@@ -16,8 +16,6 @@
 #include "adapt/controller.h"
 #include "adapt/loss_monitor.h"
 #include "broadcast/channel.h"
-#include "broadcast/generator.h"
-#include "broadcast/schedule_optimizer.h"
 #include "client/client.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -29,14 +27,10 @@
 #include "obs/timeline.h"
 #include "pop/client_store.h"
 #include "pop/shard.h"
-#include "pull/hybrid.h"
 #include "pull/pull_server.h"
 
 namespace bcast::pop {
 namespace {
-
-// Sub-stream tag of the random-program draw.
-constexpr uint64_t kProgramStream = 3;
 
 /// K parked worker threads, one per shard, driven in lock-step rounds.
 /// The gate mutex publishes the coordinator's mailbox writes to the
@@ -142,59 +136,14 @@ Result<MultiClientResult> RunPopulationSimulation(
   const uint64_t n_shards = layout_pop.EffectiveShards();
 
   const Rng master(params.seed);
-  // The configured optimizer designs layout and program together. With
-  // active pull params the air carries the hybrid program: the
-  // optimizer's program with pull slots interleaved into every minor
-  // cycle (slot-identical to the plain program when pull_slots == 0).
-  pull::HybridLayout hybrid_layout;
-  Result<ServerSchedule> schedule = [&]() -> Result<ServerSchedule> {
+  Result<ServerSchedule> schedule = [&]() {
     obs::ScopedTimer timer(&timings.build_program_seconds);
-    if (params.program_kind == ProgramKind::kMultiDisk) {
-      const ScheduleOptimizer* optimizer =
-          FindScheduleOptimizer(params.optimizer);
-      BCAST_CHECK(optimizer != nullptr);  // Validate() vetted the name
-      OptimizerRequest request;
-      request.disk_sizes = params.disk_sizes;
-      request.rel_freqs = params.rel_freqs;
-      request.delta = params.delta;
-      if (params.optimizer != "delta") {
-        request.probs = PopulationNominalProbs(params);
-      }
-      Result<OptimizedSchedule> built = optimizer->Build(request);
-      if (!built.ok()) return built.status();
-      ServerSchedule out{std::move(built->layout), std::move(built->program),
-                         built->predicted_delay};
-      if (params.pull.Active()) {
-        Result<pull::HybridProgram> hybrid = pull::GenerateHybridProgram(
-            out.layout, params.pull.pull_slots);
-        if (!hybrid.ok()) return hybrid.status();
-        hybrid_layout = std::move(hybrid->layout);
-        out.program = std::move(hybrid->program);
-      }
-      return out;
-    }
-    Result<DiskLayout> layout =
-        params.rel_freqs.empty()
-            ? MakeDeltaLayout(params.disk_sizes, params.delta)
-            : MakeLayout(params.disk_sizes, params.rel_freqs);
-    if (!layout.ok()) return layout.status();
-    Result<BroadcastProgram> program = [&]() -> Result<BroadcastProgram> {
-      if (params.program_kind == ProgramKind::kSkewed) {
-        return GenerateSkewedProgram(*layout);
-      }
-      Result<BroadcastProgram> reference = GenerateMultiDiskProgram(*layout);
-      if (!reference.ok()) return reference.status();
-      Rng rng = master.Split(kProgramStream);
-      return GenerateRandomProgram(*layout, reference->period(), &rng);
-    }();
-    if (!program.ok()) return program.status();
-    return ServerSchedule{std::move(*layout), std::move(*program), 0.0};
+    return BuildSchedule(params);
   }();
   if (!schedule.ok()) return schedule.status();
   const DiskLayout* const layout = &schedule->layout;
-  BroadcastProgram* const program = &schedule->program;
+  const BroadcastProgram* const program = &schedule->program;
 
-  const uint64_t total = layout->TotalPages();
   obs::Stopwatch setup_watch;
 
   // The coordinator's server simulation: the centralized subsystems —
@@ -210,21 +159,12 @@ Result<MultiClientResult> RunPopulationSimulation(
   std::unique_ptr<pull::PullServer> pull_server;
   if (params.pull.Active()) {
     pull_server = std::make_unique<pull::PullServer>(
-        &server_sim, hybrid_layout, params.pull);
+        &server_sim, schedule->hybrid, params.pull);
     BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kPull, "pull"));
   }
   const bool pull_on = pull_server != nullptr && pull_server->enabled();
 
-  std::vector<bool> cold_pages;
-  if ((params.pull.Active() || params.adapt.Active()) &&
-      program->num_disks() > 1) {
-    const DiskIndex coldest =
-        static_cast<DiskIndex>(program->num_disks() - 1);
-    cold_pages.resize(total);
-    for (PageId p = 0; p < static_cast<PageId>(total); ++p) {
-      cold_pages[p] = program->DiskOf(p) == coldest;
-    }
-  }
+  const std::vector<bool> cold_pages = ColdPageSet(params, *program);
 
   std::unique_ptr<adapt::LossMonitor> loss_monitor;
   std::unique_ptr<adapt::Controller> controller;
@@ -241,8 +181,8 @@ Result<MultiClientResult> RunPopulationSimulation(
   uint64_t unfinished_total = n_clients;
   if (params.adapt.Active()) {
     if (params.fault.Active()) {
-      loss_monitor =
-          std::make_unique<adapt::LossMonitor>(static_cast<PageId>(total));
+      loss_monitor = std::make_unique<adapt::LossMonitor>(
+          static_cast<PageId>(layout->TotalPages()));
     }
     adapt::Controller::Hooks hooks;
     hooks.channel = &server_channel;
@@ -253,10 +193,7 @@ Result<MultiClientResult> RunPopulationSimulation(
                           const BroadcastProgram* prog,
                           const pull::HybridLayout* hybrid, double now) {
       const double interval =
-          hybrid != nullptr && hybrid->enabled()
-              ? static_cast<double>(hybrid->minor_len()) /
-                    static_cast<double>(hybrid->pull_per_minor)
-              : 0.0;
+          hybrid != nullptr ? hybrid->ServiceInterval() : 0.0;
       pending_switches.push_back(
           SwitchInfo{prog, interval, hybrid != nullptr, now});
     };
@@ -285,7 +222,7 @@ Result<MultiClientResult> RunPopulationSimulation(
   shared.params = &params;
   shared.layout = &*layout;
   shared.program = &*program;
-  shared.hybrid = &hybrid_layout;
+  shared.hybrid = &schedule->hybrid;
   shared.cold_pages = &cold_pages;
   shared.timeline = observers.timeline;
   shared.trace = observers.trace;

@@ -23,7 +23,6 @@
 #define BCAST_POP_SHARD_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -31,46 +30,22 @@
 #include "broadcast/channel.h"
 #include "broadcast/disk_config.h"
 #include "broadcast/program.h"
-#include "cache/cache_policy.h"
-#include "client/access_generator.h"
-#include "client/client.h"
-#include "client/mapping.h"
 #include "common/rng.h"
 #include "core/multi_client.h"
 #include "core/simulator.h"
 #include "des/simulation.h"
-#include "fault/fault_model.h"
 #include "fault/process_faults.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
 #include "pop/client_store.h"
 #include "pop/pull_hub.h"
 #include "pull/hybrid.h"
-#include "pull/pull_client.h"
 
 namespace bcast::pop {
 
-/// \brief One client's private machinery, in index-stable storage so the
-/// spawned coroutine can reference it.
-struct ClientWorld {
-  std::unique_ptr<Mapping> mapping;
-  std::unique_ptr<AccessGenerator> gen;
-  std::unique_ptr<SimCatalog> catalog;
-  std::unique_ptr<CachePolicy> cache;
-  std::unique_ptr<fault::Receiver> receiver;  // null when faults are off
-  std::unique_ptr<pull::PullClient> pull;     // null when pull is off
-  std::unique_ptr<Client> client;
-};
-
-/// \brief Run-level context shared (read-only) by every shard.
-struct ShardShared {
-  const MultiClientParams* params = nullptr;
-  const DiskLayout* layout = nullptr;
-  const BroadcastProgram* program = nullptr;      ///< initial program
-  const pull::HybridLayout* hybrid = nullptr;     ///< initial hybrid layout
-  const std::vector<bool>* cold_pages = nullptr;  ///< may be empty
-  obs::TimelineWriter* timeline = nullptr;  ///< mutexed; may be null
-  obs::TraceSink* trace = nullptr;          ///< mutexed; may be null
+/// \brief Run-level context shared (read-only) by every shard: what
+/// every client world shares, plus the shard-side knobs.
+struct ShardShared : WorldShared {
   bool pull_enabled = false;        ///< program carries pull capacity
   double service_interval = 0.0;    ///< initial pull service interval
   bool need_loss_monitor = false;   ///< adaptation + faults are on
@@ -84,9 +59,10 @@ class Shard {
   Shard(uint64_t index, uint64_t begin, uint64_t end,
         const ShardShared& shared, ClientStore* store);
 
-  /// Builds and spawns this shard's client worlds (client c draws from
-  /// sub-stream 1000 + c of \p master), arms the shard-local
-  /// schedule-version tick chain. Call once, before the first round.
+  /// Builds (with `BuildClientWorld`) and spawns this shard's client
+  /// worlds — client c draws from sub-stream 1000 + c of \p master —
+  /// and arms the shard-local schedule-version chain. Call once, before
+  /// the first round.
   Status Build(const Rng& master);
 
   /// \name Round mailbox — coordinator-side, only while the worker is
@@ -133,19 +109,17 @@ class Shard {
   adapt::LossMonitor* loss_monitor() { return loss_monitor_.get(); }
 
   /// Schedule-version re-announces performed (shard-local liveness).
-  uint64_t version_bumps() const { return version_bumps_; }
+  uint64_t version_bumps() const { return version_ticker_.bumps(); }
 
   /// Version-tick events fired (each bump plus the final dead-chain
   /// firing) — engine-infrastructure events the merged event count must
   /// not double-report.
-  uint64_t vtick_events() const { return vtick_events_; }
+  uint64_t vtick_events() const { return version_ticker_.events(); }
 
   /// Mirror delivery events fired — likewise engine infrastructure.
   uint64_t mirrors_fired() const { return mirrors_fired_; }
 
  private:
-  /// Assembles global client \p c into \p out.
-  Status BuildWorld(uint64_t c, const Rng& master, ClientWorld* out);
   void ApplyMailbox();
 
   uint64_t index_;
@@ -161,9 +135,7 @@ class Shard {
   std::unique_ptr<adapt::LossMonitor> loss_monitor_;
   std::vector<ClientWorld> worlds_;
 
-  std::function<void()> version_tick_;
-  uint64_t version_bumps_ = 0;
-  uint64_t vtick_events_ = 0;
+  VersionTicker version_ticker_;
   uint64_t mirrors_fired_ = 0;
 
   struct PendingMirror {

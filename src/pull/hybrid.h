@@ -55,6 +55,14 @@ struct HybridLayout {
   /// True when the layout carries any pull capacity.
   bool enabled() const { return pull_per_minor > 0; }
 
+  /// Mean slots between pull-slot starts (the pull service interval);
+  /// 0 when disabled.
+  double ServiceInterval() const {
+    return enabled() ? static_cast<double>(minor_len()) /
+                           static_cast<double>(pull_per_minor)
+                     : 0.0;
+  }
+
   /// True when the slot starting at integer time offset `slot` (taken
   /// modulo the minor cycle) is a pull slot.
   bool IsPullSlot(uint64_t slot) const;

@@ -18,9 +18,7 @@ PullServer::PullServer(des::Simulation* sim, HybridLayout layout,
 }
 
 double PullServer::ServiceInterval() const {
-  if (!enabled()) return 0.0;
-  return static_cast<double>(layout_.minor_len()) /
-         static_cast<double>(layout_.pull_per_minor);
+  return layout_.ServiceInterval();
 }
 
 bool PullServer::TryUplink(double now, bool re_request) {

@@ -65,6 +65,27 @@ TEST(AnalyticModelTest, PCachesHottestPages) {
   for (PageId l : prediction->cached_pages) EXPECT_LT(l, 500u);
 }
 
+TEST(AnalyticModelTest, MatchesSimulationUnderRboWithNoise) {
+  // rbo regroups pages into power-of-two frequency classes, and Noise
+  // draws its swap destinations from the layout: the model must map
+  // pages over the schedule's own layout to see the simulator's mapping.
+  for (double noise : {0.0, 30.0}) {
+    SimParams params;
+    params.cache_size = 1;
+    params.optimizer = "rbo";
+    params.noise_percent = noise;
+    params.measured_requests = 30000;
+    auto prediction = PredictResponse(params);
+    auto simulated = RunSimulation(params);
+    ASSERT_TRUE(prediction.ok()) << prediction.status().ToString();
+    ASSERT_TRUE(simulated.ok()) << simulated.status().ToString();
+    EXPECT_NEAR(simulated->metrics.mean_response_time(),
+                prediction->response_time,
+                0.05 * prediction->response_time)
+        << "noise " << noise;
+  }
+}
+
 TEST(AnalyticModelTest, MatchesSimulationNoCache) {
   for (uint64_t delta : {0u, 2u, 5u}) {
     SimParams params;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/multi_client.h"
 
 namespace bcast {
 namespace {
@@ -21,44 +25,125 @@ SimParams SmallParams() {
 }
 
 TEST(BuildProgramTest, MultiDiskByDefault) {
-  auto program = BuildProgram(SmallParams());
-  ASSERT_TRUE(program.ok());
-  EXPECT_EQ(program->num_disks(), 3u);
-  EXPECT_TRUE(program->HasFixedInterArrival(0));
+  auto schedule = BuildSchedule(SmallParams());
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_EQ(schedule->program.num_disks(), 3u);
+  EXPECT_TRUE(schedule->program.HasFixedInterArrival(0));
 }
 
 TEST(BuildProgramTest, SkewedKind) {
   SimParams params = SmallParams();
   params.program_kind = ProgramKind::kSkewed;
-  auto program = BuildProgram(params);
-  ASSERT_TRUE(program.ok());
-  EXPECT_FALSE(program->HasFixedInterArrival(0));
+  auto schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_FALSE(schedule->program.HasFixedInterArrival(0));
 }
 
 TEST(BuildProgramTest, RandomKindMatchesMultiDiskPeriod) {
   SimParams params = SmallParams();
   params.program_kind = ProgramKind::kRandom;
-  auto random = BuildProgram(params);
-  auto multi = BuildProgram(SmallParams());
+  auto random = BuildSchedule(params);
+  auto multi = BuildSchedule(SmallParams());
   ASSERT_TRUE(random.ok());
   ASSERT_TRUE(multi.ok());
-  EXPECT_EQ(random->period(), multi->period());
+  EXPECT_EQ(random->program.period(), multi->program.period());
 }
 
 TEST(BuildProgramTest, ExplicitFrequenciesOverrideDelta) {
   SimParams params = SmallParams();
   params.rel_freqs = {5, 3, 1};
-  auto program = BuildProgram(params);
-  ASSERT_TRUE(program.ok());
-  EXPECT_EQ(program->Frequency(0), 5u);
-  EXPECT_EQ(program->Frequency(60), 3u);
-  EXPECT_EQ(program->Frequency(400), 1u);
+  auto schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok());
+  EXPECT_EQ(schedule->program.Frequency(0), 5u);
+  EXPECT_EQ(schedule->program.Frequency(60), 3u);
+  EXPECT_EQ(schedule->program.Frequency(400), 1u);
 }
 
 TEST(BuildProgramTest, InvalidParamsPropagate) {
   SimParams params = SmallParams();
   params.cache_size = 0;
-  EXPECT_FALSE(BuildProgram(params).ok());
+  EXPECT_FALSE(BuildSchedule(params).ok());
+}
+
+void ExpectSameSchedule(const ServerSchedule& a, const ServerSchedule& b,
+                        const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(a.program.period(), b.program.period());
+  for (uint64_t slot = 0; slot < a.program.period(); ++slot) {
+    ASSERT_EQ(a.program.slots()[slot], b.program.slots()[slot]) << slot;
+  }
+  EXPECT_EQ(a.layout.sizes, b.layout.sizes);
+  EXPECT_EQ(a.layout.rel_freqs, b.layout.rel_freqs);
+  EXPECT_EQ(a.hybrid.push_minor_len, b.hybrid.push_minor_len);
+  EXPECT_EQ(a.hybrid.pull_per_minor, b.hybrid.pull_per_minor);
+  EXPECT_EQ(a.hybrid.num_minor, b.hybrid.num_minor);
+  EXPECT_EQ(a.hybrid.pull_offsets, b.hybrid.pull_offsets);
+  // Bit-equal, not merely close: a single run's nominal distribution is
+  // the mean of a population of one.
+  EXPECT_EQ(a.predicted_delay, b.predicted_delay);
+}
+
+TEST(BuildScheduleTest, SingleRunIsAPopulationOfOne) {
+  struct Case {
+    std::string name;
+    SimParams params;
+  };
+  std::vector<Case> cases;
+  for (const char* optimizer : {"delta", "ksy", "rbo"}) {
+    SimParams params = SmallParams();
+    params.optimizer = optimizer;
+    cases.push_back({optimizer, params});
+  }
+  SimParams skewed = SmallParams();
+  skewed.program_kind = ProgramKind::kSkewed;
+  cases.push_back({"skewed", skewed});
+  SimParams random = SmallParams();
+  random.program_kind = ProgramKind::kRandom;
+  cases.push_back({"random", random});
+  for (const char* optimizer : {"delta", "ksy"}) {
+    SimParams pull = SmallParams();
+    pull.optimizer = optimizer;
+    pull.pull.pull_slots = 2;
+    cases.push_back({std::string(optimizer) + "+pull", pull});
+  }
+  for (const Case& c : cases) {
+    Result<ServerSchedule> single = BuildSchedule(c.params);
+    Result<ServerSchedule> population =
+        BuildSchedule(PopulationFromSimParams(c.params, 1));
+    ASSERT_TRUE(single.ok()) << c.name << ": " << single.status().ToString();
+    ASSERT_TRUE(population.ok())
+        << c.name << ": " << population.status().ToString();
+    ExpectSameSchedule(*single, *population, c.name);
+  }
+}
+
+TEST(BuildScheduleTest, PullInterleavesTheProgramOnTheAir) {
+  SimParams params = SmallParams();
+  Result<ServerSchedule> push = BuildSchedule(params);
+  params.pull.pull_slots = 2;
+  Result<ServerSchedule> hybrid = BuildSchedule(params);
+  ASSERT_TRUE(push.ok());
+  ASSERT_TRUE(hybrid.ok());
+  EXPECT_FALSE(push->hybrid.enabled());
+  ASSERT_TRUE(hybrid->hybrid.enabled());
+  EXPECT_EQ(hybrid->program.period(), hybrid->hybrid.period());
+  EXPECT_GT(hybrid->program.period(), push->program.period());
+}
+
+TEST(ColdPageSetTest, SlowestDiskOnlyWhenSomethingReadsIt) {
+  SimParams params = SmallParams();
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok());
+  const BroadcastProgram& program = schedule->program;
+  EXPECT_TRUE(
+      ColdPageSet(PopulationFromSimParams(params, 1), program).empty());
+  params.pull.pull_slots = 1;
+  const std::vector<bool> cold =
+      ColdPageSet(PopulationFromSimParams(params, 1), program);
+  ASSERT_EQ(cold.size(), 500u);
+  for (PageId p = 0; p < 500; ++p) {
+    EXPECT_EQ(cold[p], program.DiskOf(p) == 2u) << p;
+  }
 }
 
 TEST(RunSimulationTest, ProducesConsistentMetrics) {
@@ -200,7 +285,7 @@ TEST(RunSimulationTest, TimelineAndProfilingAreBitIdentical) {
   timeline.Close();
 
   // Timeline and profiling add no events and change nothing: the run is
-  // bit-identical, event count included (unlike the stats sampler).
+  // bit-identical, event count included.
   EXPECT_EQ(observed->events_dispatched, plain->events_dispatched);
   EXPECT_EQ(observed->metrics.requests(), plain->metrics.requests());
   EXPECT_EQ(observed->metrics.cache_hits(), plain->metrics.cache_hits());
@@ -234,15 +319,22 @@ TEST(RunSimulationTest, StatsStreamReproducesRunTotals) {
   auto observed = RunSimulation(params, observers);
   ASSERT_TRUE(observed.ok());
 
-  // The sampler adds kStats events (documented exception)...
-  EXPECT_GT(observed->events_dispatched, plain->events_dispatched);
-  // ...but never touches what the simulation computes.
-  EXPECT_EQ(observed->metrics.requests(), plain->metrics.requests());
-  EXPECT_EQ(observed->metrics.cache_hits(), plain->metrics.cache_hits());
-  EXPECT_DOUBLE_EQ(observed->metrics.mean_response_time(),
-                   plain->metrics.mean_response_time());
-  // The last armed tick may land past the client's final event, so the
-  // clock can end up to one interval later — never earlier.
+  // The sampler steps the event loop over its grid and adds no events,
+  // so the observed run reports the same simulation as the plain one.
+  // The sole exception is `end_time`: the last grid sample may land past
+  // the client's final event, rounding the clock up to it.
+  EXPECT_EQ(observed->events_dispatched, plain->events_dispatched);
+  auto normalized = [&](const SimResult& result) {
+    obs::RunReport report = MakeRunReport(params, result, "test");
+    report.end_time = 0.0;
+    report.timings = {};
+    report.slots_per_second = 0.0;
+    report.events_per_second = 0.0;
+    std::ostringstream out;
+    report.WriteJson(out);
+    return out.str();
+  };
+  EXPECT_EQ(normalized(*observed), normalized(*plain));
   EXPECT_GE(observed->end_time, plain->end_time);
   EXPECT_LE(observed->end_time, plain->end_time + observers.stats_interval);
 
@@ -308,8 +400,8 @@ TEST(RunSimulationTest, MakeRunReportFillsHeadlineFields) {
 }
 
 TEST(SimCatalogTest, DelegatesThroughMapping) {
-  auto program = BuildProgram(SmallParams());
-  ASSERT_TRUE(program.ok());
+  auto schedule = BuildSchedule(SmallParams());
+  ASSERT_TRUE(schedule.ok());
   auto gen = AccessGenerator::Make(100, 5, 0.95, 2.0, ThinkTimeKind::kFixed,
                                    Rng(1));
   ASSERT_TRUE(gen.ok());
@@ -318,7 +410,7 @@ TEST(SimCatalogTest, DelegatesThroughMapping) {
   // Offset 10: logical 0 -> physical 490 (slowest disk).
   auto mapping = Mapping::Make(*layout, 10, 0.0, Rng(2));
   ASSERT_TRUE(mapping.ok());
-  SimCatalog catalog(&*gen, &*program, &*mapping);
+  SimCatalog catalog(&*gen, &schedule->program, &*mapping);
   EXPECT_EQ(catalog.NumDisks(), 3u);
   EXPECT_EQ(catalog.DiskOf(0), 2u);   // pushed to slow disk by offset
   EXPECT_EQ(catalog.DiskOf(10), 0u);  // pulled onto fast disk

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "core/simulator.h"
+
 namespace bcast {
 namespace {
 
@@ -180,6 +182,73 @@ TEST(UpdateSimulationTest, RejectsBadRate) {
   UpdateParams updates;
   updates.update_rate = -0.1;
   EXPECT_FALSE(RunUpdateSimulation(SmallBase(), updates).ok());
+}
+
+TEST(UpdateSimulationTest, ReadOnlyRunsMatchSingleModeUnderEveryOptimizer) {
+  // With no updates and no consistency action the volatile client is the
+  // single-mode client, so it must see the same schedule and the same
+  // Noise mapping. Noise draws its swap destinations from the layout, and
+  // rbo's layout regroups pages into power-of-two classes: an updates
+  // runner that rebuilt a Δ-rule layout of its own would diverge there.
+  for (const char* optimizer : {"delta", "ksy", "rbo"}) {
+    for (double noise : {0.0, 30.0}) {
+      SimParams base = SmallBase();
+      base.optimizer = optimizer;
+      base.noise_percent = noise;
+      UpdateParams updates;
+      updates.update_rate = 0.0;
+      updates.action = ConsistencyAction::kNone;
+      auto volatile_run = RunUpdateSimulation(base, updates);
+      auto single_run = RunSimulation(base);
+      ASSERT_TRUE(volatile_run.ok()) << volatile_run.status().ToString();
+      ASSERT_TRUE(single_run.ok()) << single_run.status().ToString();
+      EXPECT_DOUBLE_EQ(volatile_run->mean_response_time,
+                       single_run->metrics.mean_response_time())
+          << optimizer << " noise " << noise;
+    }
+  }
+}
+
+TEST(UpdateSimulationTest, RejectsProcessFaults) {
+  // The volatile client has no crash, stall, jitter or version-bump
+  // machinery; accepting the knobs would report them beside zero effect.
+  UpdateParams updates;
+  // Each case is a valid single-mode configuration that updates refuses.
+  const auto rejected = [&updates](const SimParams& base) {
+    auto result = RunUpdateSimulation(base, updates);
+    return base.Validate().ok() && !result.ok() &&
+           result.status().code() == StatusCode::kInvalidArgument;
+  };
+  SimParams stall = SmallBase();
+  stall.fault.process.stall_every = 5000.0;
+  stall.fault.process.stall_len = 300.0;
+  EXPECT_TRUE(rejected(stall));
+  SimParams jitter = SmallBase();
+  jitter.fault.process.slot_jitter = 0.5;
+  EXPECT_TRUE(rejected(jitter));
+  SimParams version = SmallBase();
+  version.fault.process.version_every = 20000.0;
+  EXPECT_TRUE(rejected(version));
+  SimParams crash = SmallBase();
+  crash.fault.process.crash_every = 5000.0;
+  crash.fault.process.crash_down = 50.0;
+  crash.fault.process.crash_cold = true;
+  EXPECT_TRUE(rejected(crash));
+  // Channel faults alone stay modelled.
+  SimParams lossy = SmallBase();
+  lossy.fault.loss = 0.1;
+  EXPECT_TRUE(RunUpdateSimulation(lossy, updates).ok());
+}
+
+TEST(UpdateSimulationTest, RejectsAdaptation) {
+  SimParams base = SmallBase();
+  base.fault.loss = 0.1;
+  base.adapt.epoch_cycles = 4;
+  ASSERT_TRUE(base.Validate().ok());
+  UpdateParams updates;
+  auto result = RunUpdateSimulation(base, updates);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- Disconnection model (Sleepers and Workaholics) ---

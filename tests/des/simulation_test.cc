@@ -291,7 +291,7 @@ TEST(ProfilingTest, CountsMatchDispatchesPerKind) {
   sim.Schedule(1.0, [] {});  // kGeneric
   sim.Schedule(2.0, [] {}, EventKind::kSlot);
   sim.Schedule(3.0, [] {}, EventKind::kSlot);
-  sim.Schedule(4.0, [] {}, EventKind::kStats);
+  sim.Schedule(4.0, [] {}, EventKind::kController);
   sim.Run();
   const DesProfile& profile = sim.profile();
   EXPECT_EQ(profile.total_dispatches(), sim.events_dispatched());
@@ -301,7 +301,7 @@ TEST(ProfilingTest, CountsMatchDispatchesPerKind) {
   EXPECT_EQ(profile.kinds[static_cast<size_t>(EventKind::kSlot)].dispatches,
             2u);
   EXPECT_EQ(
-      profile.kinds[static_cast<size_t>(EventKind::kStats)].dispatches,
+      profile.kinds[static_cast<size_t>(EventKind::kController)].dispatches,
       1u);
 
   // A lone process's delays continue inline; each still counts as one
@@ -356,7 +356,7 @@ TEST(EventKindTest, EveryKindHasAName) {
     EXPECT_GT(std::string(name).size(), 0u);
   }
   EXPECT_STREQ(EventKindName(EventKind::kSlot), "slot");
-  EXPECT_STREQ(EventKindName(EventKind::kStats), "stats");
+  EXPECT_STREQ(EventKindName(EventKind::kController), "controller");
 }
 
 TEST(SimulationDeathTest, NegativeDelayDies) {

@@ -286,9 +286,9 @@ TEST(ProcessFaultTest, CommensurateDozeCycleStillCompletes) {
   // Only the slowest disk can lock: a frequency-f page airs at f distinct
   // phases of the cycle, so reach into the freq-1 tail of the database.
   params.access_range = 500;
-  Result<BroadcastProgram> program = BuildProgram(params);
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  const double period = static_cast<double>(program->period());
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const double period = static_cast<double>(schedule->program.period());
   params.fault.doze_for = period / 2.0;
   params.fault.awake_for = period - params.fault.doze_for;
   SimObservers observers;

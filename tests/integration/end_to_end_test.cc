@@ -52,15 +52,15 @@ TEST(EndToEndTest, SimulatedDelaysMatchAnalyticNoCacheModel) {
   params.cache_size = 1;
   params.delta = 3;
   params.measured_requests = 40000;
-  auto program = BuildProgram(params);
-  ASSERT_TRUE(program.ok());
+  auto schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok());
   auto gen = AccessGenerator::Make(params.access_range, params.region_size,
                                    params.theta, params.think_time,
                                    params.think_kind, Rng(params.seed));
   ASSERT_TRUE(gen.ok());
   double analytic = 0.0;
   for (PageId p = 0; p < params.access_range; ++p) {
-    analytic += gen->Probability(p) * (ExpectedDelay(*program, p) + 1.0);
+    analytic += gen->Probability(p) * (ExpectedDelay(schedule->program, p) + 1.0);
   }
   auto result = RunSimulation(params);
   ASSERT_TRUE(result.ok());

@@ -252,10 +252,10 @@ int Run(int argc, const char* const* argv) {
   if (usage_error.empty() && mode != "single" && flags.WasSet("seeds")) {
     usage_error = "--seeds averages --mode=single runs only";
   }
-  if (usage_error.empty() && mode == "population" &&
+  if (usage_error.empty() && mode != "single" &&
       flags.WasSet("knows_schedule")) {
     usage_error = "--knows_schedule is a single-client knob; population "
-                  "clients have no such setting";
+                  "and updates clients have no such setting";
   }
   if (usage_error.empty() && mode == "population" && clients == 0) {
     usage_error = "--clients must be at least 1";
