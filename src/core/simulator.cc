@@ -160,8 +160,6 @@ Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
   const MultiClientParams& params = *shared.params;
   const ClientSpec& spec = params.clients[in.id];
   const uint32_t track = obs::track::Client(static_cast<uint32_t>(in.id));
-  BCAST_TIMELINE(shared.timeline,
-                 NameTrack(track, "client" + std::to_string(in.id)));
 
   // Interest shift s composes with the offset rotation: the client's
   // logical page l maps to physical (l + s - offset) mod total, i.e. an
@@ -286,6 +284,8 @@ Result<SimResult> RunSimulation(const SimParams& params,
   sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline,
                  NameTrack(obs::track::kSim, "des"));
+  BCAST_TIMELINE(observers.timeline,
+                 NameTrack(obs::track::Client(0), "client0"));
   BroadcastChannel channel(&sim, program);
   // Server-side process faults (transmission stalls + slot jitter): one
   // plane per run, shared by every receiver — the server's trouble is

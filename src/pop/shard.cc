@@ -55,6 +55,9 @@ Status Shard::Build(const Rng& master) {
   worlds_.resize(end_ - begin_);
   for (uint64_t c = begin_; c < end_; ++c) {
     const Rng client_rng = master.Split(1000 + c);
+    BCAST_TIMELINE(shared_.timeline,
+                   NameTrack(obs::track::Client(static_cast<uint32_t>(c)),
+                             "client" + std::to_string(c)));
     ClientInputs inputs;
     inputs.id = c;
     inputs.noise_rng = client_rng.Split(kClientNoise);
