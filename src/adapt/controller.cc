@@ -1,9 +1,9 @@
 #include "adapt/controller.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
-#include "broadcast/generator.h"
 #include "common/logging.h"
 #include "obs/timeline.h"
 #include "pull/hybrid.h"
@@ -52,6 +52,7 @@ Controller::Controller(des::Simulation* sim, const DiskLayout& layout,
   BCAST_CHECK(params_.Active()) << "controller built with adaptation off";
   BCAST_CHECK(hooks_.channel != nullptr);
   BCAST_CHECK_EQ(perm_.num_pages(), hooks_.channel->program().num_pages());
+  seats_ = &hooks_.channel->program();
   // Resync must be armed before the first client wait starts; the
   // controller is constructed before Simulation::Run.
   hooks_.channel->EnableResync();
@@ -162,32 +163,28 @@ void Controller::Tick(double now) {
 
 void Controller::Rebuild(double now) {
   ++stats_.rebuilds;
+  // With a pull server the seat program is the hybrid program at the
+  // current slot count; push-only it is the channel's initial program.
+  std::optional<pull::HybridProgram> hybrid;
   if (hooks_.pull != nullptr) {
-    Result<pull::HybridProgram> hybrid =
+    Result<pull::HybridProgram> built =
         pull::GenerateHybridProgram(layout_, slots_);
-    BCAST_CHECK(hybrid.ok()) << hybrid.status().ToString();
-    Result<BroadcastProgram> remapped = perm_.Apply(hybrid->program);
-    BCAST_CHECK(remapped.ok()) << remapped.status().ToString();
-    programs_.push_back(
-        std::make_unique<BroadcastProgram>(std::move(*remapped)));
-    hooks_.channel->SetProgram(programs_.back().get(), now);
-    hooks_.pull->SetLayout(hybrid->layout, now);
-    if (hooks_.on_switch) {
-      hooks_.on_switch(programs_.back().get(), &hooks_.pull->layout(), now);
-    }
-  } else {
-    Result<BroadcastProgram> seats =
-        hooks_.make_program ? hooks_.make_program(layout_)
-                            : GenerateMultiDiskProgram(layout_);
-    BCAST_CHECK(seats.ok()) << seats.status().ToString();
-    Result<BroadcastProgram> remapped = perm_.Apply(*seats);
-    BCAST_CHECK(remapped.ok()) << remapped.status().ToString();
-    programs_.push_back(
-        std::make_unique<BroadcastProgram>(std::move(*remapped)));
-    hooks_.channel->SetProgram(programs_.back().get(), now);
-    if (hooks_.on_switch) {
-      hooks_.on_switch(programs_.back().get(), nullptr, now);
-    }
+    BCAST_CHECK(built.ok()) << built.status().ToString();
+    hybrid = std::move(*built);
+  }
+  Result<BroadcastProgram> remapped =
+      perm_.Apply(hybrid.has_value() ? hybrid->program : *seats_);
+  BCAST_CHECK(remapped.ok()) << remapped.status().ToString();
+  programs_.push_back(
+      std::make_unique<BroadcastProgram>(std::move(*remapped)));
+  hooks_.channel->SetProgram(programs_.back().get(), now);
+  if (hybrid.has_value()) {
+    hooks_.pull->SetLayout(std::move(hybrid->layout), now);
+  }
+  if (hooks_.on_switch) {
+    hooks_.on_switch(programs_.back().get(),
+                     hybrid.has_value() ? &hooks_.pull->layout() : nullptr,
+                     now);
   }
   period_ = static_cast<double>(programs_.back()->period());
 }

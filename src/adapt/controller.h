@@ -25,11 +25,15 @@
 ///      backlog and shrinks it under sustained idleness, within
 ///      [min_slots, max_slots].
 ///   3. **Rebuilds and broadcasts** the program when anything changed:
-///      regenerates the seat program (hybrid when a pull server is
-///      attached), relabels it through the promotion map, and switches
-///      the channel (and pull server) onto it at the boundary. In-flight
-///      client waits resync through their existing deadline/backoff
-///      machinery (`BroadcastChannel::SetProgram`).
+///      relabels the seat program through the promotion map and switches
+///      the channel (and pull server) onto it at the boundary. The seat
+///      program of a push-only run is the channel's program at
+///      construction, whichever optimizer built it (a bit-reversal
+///      program is no chunked minor-cycle program, so it is re-applied,
+///      never regenerated); with a pull server attached it is the hybrid
+///      program regenerated at the new slot count. In-flight client waits
+///      resync through their existing deadline/backoff machinery
+///      (`BroadcastChannel::SetProgram`).
 ///
 /// Epoch boundaries chain: the next boundary is `epoch_cycles` periods of
 /// the *new* program after the switch, so boundaries always coincide with
@@ -93,14 +97,6 @@ class Controller {
     pull::PullServer* pull = nullptr;     ///< null: push-only adaptation
     LossMonitor* loss = nullptr;          ///< null: no frequency repair
     AccessMonitor* access = nullptr;      ///< null: no demand reopt
-    /// Regenerates the seat program for push-only rebuilds; unset, the
-    /// controller uses `GenerateMultiDiskProgram(layout)` — correct for
-    /// the delta and ksy optimizers, whose layouts carry integer
-    /// relative frequencies. The simulator supplies the chosen
-    /// optimizer's builder here so rebuilds keep the schedule *shape*
-    /// (a bit-reversal program is not a chunked minor-cycle program,
-    /// even over the same layout).
-    std::function<Result<BroadcastProgram>(const DiskLayout&)> make_program;
     /// Whether any client process is still running. Unset, the
     /// controller asks its own simulation (`live_processes() > 0`) —
     /// the single-sim behavior. The population engine, whose clients
@@ -116,9 +112,11 @@ class Controller {
         on_switch;
   };
 
-  /// \p layout is the disk geometry the programs are generated from;
-  /// \p params must be `Active()`. Enables channel resync immediately
-  /// (before any client wait starts).
+  /// \p layout is the disk geometry the hybrid programs are generated
+  /// from; \p params must be `Active()`. Keeps the channel's current
+  /// program as the push-only seat program (it must outlive the
+  /// controller, as the channel requires anyway). Enables channel resync
+  /// immediately (before any client wait starts).
   Controller(des::Simulation* sim, const DiskLayout& layout,
              const AdaptParams& params, Hooks hooks);
 
@@ -146,6 +144,7 @@ class Controller {
   DiskLayout layout_;
   AdaptParams params_;
   Hooks hooks_;
+  const BroadcastProgram* seats_ = nullptr;  // channel's initial program
   PromotionMap perm_;
   SlotController slot_control_;
   // Every broadcast program ever on the air: the channel and in-flight

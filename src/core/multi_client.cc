@@ -1,6 +1,7 @@
 #include "core/multi_client.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 #include <string>
 
@@ -75,39 +76,55 @@ uint64_t MultiClientParams::ServerDbSize() const {
   return std::accumulate(disk_sizes.begin(), disk_sizes.end(), uint64_t{0});
 }
 
+// The one rule set: a single run validates as a population of one
+// (SimParams::Validate), so the messages name the bcastsim flags, and a
+// population of one carries no "client 0: " prefix.
 Status MultiClientParams::Validate() const {
   if (clients.empty()) {
     return Status::InvalidArgument("population needs at least one client");
   }
+  if (disk_sizes.empty()) {
+    return Status::InvalidArgument("disk_sizes must not be empty");
+  }
+  for (uint64_t s : disk_sizes) {
+    if (s == 0) return Status::InvalidArgument("disk sizes must be positive");
+  }
+  if (!rel_freqs.empty() && rel_freqs.size() != disk_sizes.size()) {
+    return Status::InvalidArgument(
+        "rel_freqs must match disk_sizes in length (or be empty)");
+  }
   const uint64_t db = ServerDbSize();
-  Result<DiskLayout> layout =
-      rel_freqs.empty() ? MakeDeltaLayout(disk_sizes, delta)
-                        : MakeLayout(disk_sizes, rel_freqs);
-  if (!layout.ok()) return layout.status();
   for (size_t c = 0; c < clients.size(); ++c) {
     const ClientSpec& spec = clients[c];
-    const std::string who = "client " + std::to_string(c) + ": ";
+    const std::string who =
+        clients.size() == 1 ? "" : "client " + std::to_string(c) + ": ";
     if (spec.access_range == 0 || spec.access_range > db) {
-      return Status::InvalidArgument(who +
-                                     "access_range must be in [1, DBSize]");
+      return Status::InvalidArgument(
+          who + "access_range must be in [1, ServerDBSize]");
     }
     if (spec.region_size == 0) {
       return Status::InvalidArgument(who + "region_size must be positive");
     }
+    if (spec.theta < 0.0 || !std::isfinite(spec.theta)) {
+      return Status::InvalidArgument(who + "theta must be finite and >= 0");
+    }
     if (spec.cache_size == 0) {
-      return Status::InvalidArgument(who + "cache_size must be >= 1");
+      return Status::InvalidArgument(
+          who + "cache_size must be >= 1 (1 disables caching)");
+    }
+    if (spec.think_time < 0.0 || !std::isfinite(spec.think_time)) {
+      return Status::InvalidArgument(who +
+                                     "think_time must be finite and >= 0");
+    }
+    if (spec.offset > db) {
+      return Status::InvalidArgument(who + "offset must be <= ServerDBSize");
+    }
+    if (spec.noise_percent < 0.0 || spec.noise_percent > 100.0) {
+      return Status::InvalidArgument(who +
+                                     "noise_percent must be in [0, 100]");
     }
     if (spec.interest_shift >= db) {
       return Status::InvalidArgument(who + "interest_shift must be < DBSize");
-    }
-    if (spec.offset > db) {
-      return Status::InvalidArgument(who + "offset must be <= DBSize");
-    }
-    if (spec.noise_percent < 0.0 || spec.noise_percent > 100.0) {
-      return Status::InvalidArgument(who + "noise must be in [0, 100]");
-    }
-    if (spec.think_time < 0.0) {
-      return Status::InvalidArgument(who + "think_time must be >= 0");
     }
     if (spec.loss_scale < 0.0) {
       return Status::InvalidArgument(who + "loss_scale must be >= 0");
@@ -142,7 +159,7 @@ Status MultiClientParams::Validate() const {
   if (pull.Active() && program_kind != ProgramKind::kMultiDisk) {
     return Status::InvalidArgument(
         "pull slots interleave into the multi-disk program's minor "
-        "cycles; use the multi-disk program with pull");
+        "cycles; use --program=multidisk with pull");
   }
   if (pull.Active() && optimizer == "rbo") {
     return Status::InvalidArgument(
@@ -156,20 +173,27 @@ Status MultiClientParams::Validate() const {
     if (program_kind != ProgramKind::kMultiDisk) {
       return Status::InvalidArgument(
           "the adaptive controller regenerates the multi-disk program; "
-          "use the multi-disk program with adaptation");
+          "use --program=multidisk with --adapt_epoch");
     }
-    if (adapt.reopt) {
+    if (!fault.Active() && !pull.Active() && !adapt.reopt) {
+      return Status::InvalidArgument(
+          "adaptation needs a signal to adapt to: enable the fault model "
+          "(--loss/--corrupt/--doze) for frequency repair, pull "
+          "(--pull_slots/--pull_force) for slot control, or "
+          "--adapt_reopt for measured-frequency re-optimization");
+    }
+    if (adapt.reopt && clients.size() != 1) {
       return Status::InvalidArgument(
           "measured-frequency re-optimization (--adapt_reopt) is "
           "single-client only: a population has no one demand ranking "
           "to re-seat by");
     }
-    if (!fault.Active() && !pull.Active()) {
-      return Status::InvalidArgument(
-          "adaptation needs a signal to adapt to: enable the fault model "
-          "for frequency repair or pull for slot control");
-    }
   }
+  // Delegate frequency validation to the layout builder.
+  Result<DiskLayout> layout =
+      rel_freqs.empty() ? MakeDeltaLayout(disk_sizes, delta)
+                        : MakeLayout(disk_sizes, rel_freqs);
+  if (!layout.ok()) return layout.status();
   return Status::OK();
 }
 

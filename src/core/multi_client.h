@@ -151,7 +151,10 @@ struct MultiClientParams {
   /// Total pages broadcast.
   uint64_t ServerDbSize() const;
 
-  /// Structural validation.
+  /// Structural validation: the one rule set of every runner (a single
+  /// run validates as `PopulationFromSimParams(params, 1)`). What only
+  /// one runner cannot model (the engine has no `--adapt_reopt` demand
+  /// monitor) that runner rejects itself.
   Status Validate() const;
 };
 

@@ -151,7 +151,8 @@ struct SimParams {
   /// Total pages the server broadcasts (sum of disk_sizes).
   uint64_t ServerDbSize() const;
 
-  /// Structural validation of the whole parameter set.
+  /// Structural validation of the whole parameter set: the rules of
+  /// `PopulationFromSimParams(*this, 1).Validate()`.
   Status Validate() const;
 
   /// One-line summary for logs/tables.

@@ -55,11 +55,8 @@ std::vector<double> NominalAccessProbs(uint64_t access_range,
   return probs;
 }
 
-namespace {
-
-// The one schedule build behind both BuildSchedule overloads; \p params
-// must be valid.
-Result<ServerSchedule> BuildValidSchedule(const MultiClientParams& params) {
+Result<ServerSchedule> BuildSchedule(const MultiClientParams& params) {
+  BCAST_RETURN_IF_ERROR(params.Validate());
   if (params.program_kind == ProgramKind::kMultiDisk) {
     const ScheduleOptimizer* optimizer =
         FindScheduleOptimizer(params.optimizer);
@@ -112,18 +109,8 @@ Result<ServerSchedule> BuildValidSchedule(const MultiClientParams& params) {
                         pull::HybridLayout{}, 0.0};
 }
 
-}  // namespace
-
-Result<ServerSchedule> BuildSchedule(const MultiClientParams& params) {
-  BCAST_RETURN_IF_ERROR(params.Validate());
-  return BuildValidSchedule(params);
-}
-
 Result<ServerSchedule> BuildSchedule(const SimParams& params) {
-  // SimParams has its own rules (a single run may re-optimize from
-  // measured demand, say), so it validates as itself.
-  BCAST_RETURN_IF_ERROR(params.Validate());
-  return BuildValidSchedule(PopulationFromSimParams(params, 1));
+  return BuildSchedule(PopulationFromSimParams(params, 1));
 }
 
 std::vector<bool> ColdPageSet(const MultiClientParams& params,
@@ -139,6 +126,49 @@ std::vector<bool> ColdPageSet(const MultiClientParams& params,
     cold[p] = program.DiskOf(p) == coldest;
   }
   return cold;
+}
+
+ServerWorld BuildServerWorld(const MultiClientParams& params,
+                             const ServerSchedule& schedule,
+                             ServerInputs in) {
+  ServerWorld out;
+  // Pull machinery exists only for active pull params; with zero pull
+  // slots the server is inert (never attached, never scheduling), so
+  // the forced zero-capacity path stays bit-identical to pure push.
+  if (params.pull.Active()) {
+    out.pull = std::make_unique<pull::PullServer>(in.sim, schedule.hybrid,
+                                                  params.pull);
+    if (in.pull_fanout) {
+      out.pull->SetServiceFanout(std::move(in.pull_fanout));
+    } else if (out.pull->enabled()) {
+      in.channel->AttachPullServer(out.pull.get());
+    }
+    BCAST_TIMELINE(BCAST_TIMELINE_PTR(in.sim),
+                   NameTrack(obs::track::kPull, "pull"));
+  }
+  out.cold_pages = ColdPageSet(params, schedule.program);
+  // The adaptive control plane: a loss monitor (and, under
+  // --adapt_reopt, a demand monitor) feeding the epoch controller.
+  // Nothing is built (and no event scheduled) when off.
+  if (params.adapt.Active()) {
+    const PageId pages = static_cast<PageId>(params.ServerDbSize());
+    if (params.fault.Active()) {
+      out.loss = std::make_unique<adapt::LossMonitor>(pages);
+    }
+    if (params.adapt.reopt) {
+      out.access = std::make_unique<adapt::AccessMonitor>(pages);
+    }
+    adapt::Controller::Hooks hooks = std::move(in.controller_hooks);
+    hooks.channel = in.channel;
+    hooks.pull = out.pull_enabled() ? out.pull.get() : nullptr;
+    hooks.loss = out.loss.get();
+    hooks.access = out.access.get();
+    out.controller = std::make_unique<adapt::Controller>(
+        in.sim, schedule.layout, params.adapt, std::move(hooks));
+    BCAST_TIMELINE(BCAST_TIMELINE_PTR(in.sim),
+                   NameTrack(obs::track::kController, "adapt"));
+  }
+  return out;
 }
 
 void VersionTicker::Start(des::Simulation* sim, BroadcastChannel* channel,
@@ -266,16 +296,14 @@ Result<SimResult> RunSimulation(const SimParams& params,
   SimResult result;
   obs::Stopwatch total_watch;
 
-  BCAST_RETURN_IF_ERROR(params.Validate());
   // At the parameter level a single run is a population of one.
   const MultiClientParams pop = PopulationFromSimParams(params, 1);
   Result<ServerSchedule> schedule = [&]() {
     obs::ScopedTimer timer(&result.timings.build_program_seconds);
-    return BuildSchedule(params);
+    return BuildSchedule(pop);
   }();
   if (!schedule.ok()) return schedule.status();
   result.predicted_delay = schedule->predicted_delay;
-  const DiskLayout* const layout = &schedule->layout;
   const BroadcastProgram* const program = &schedule->program;
 
   obs::Stopwatch setup_watch;
@@ -287,22 +315,18 @@ Result<SimResult> RunSimulation(const SimParams& params,
   BCAST_TIMELINE(observers.timeline,
                  NameTrack(obs::track::Client(0), "client0"));
   BroadcastChannel channel(&sim, program);
+  ServerInputs server_inputs;
+  server_inputs.sim = &sim;
+  server_inputs.channel = &channel;
+  ServerWorld server =
+      BuildServerWorld(pop, *schedule, std::move(server_inputs));
   // Server-side process faults (transmission stalls + slot jitter): one
   // plane per run, shared by every receiver — the server's trouble is
   // common-mode.
   const std::unique_ptr<fault::ServerFaultPlane> server_faults =
       fault::MakeServerFaultPlane(params.fault);
-  // Pull machinery exists only for active pull params; with zero pull
-  // slots the server is inert (never attached, never scheduling), so
-  // the forced zero-capacity path stays bit-identical to pure push.
-  std::unique_ptr<pull::PullServer> pull_server;
   std::unique_ptr<pull::PullClient> pull_client;
-  if (params.pull.Active()) {
-    pull_server = std::make_unique<pull::PullServer>(&sim, schedule->hybrid,
-                                                     params.pull);
-    if (pull_server->enabled()) channel.AttachPullServer(pull_server.get());
-    BCAST_TIMELINE(observers.timeline,
-                   NameTrack(obs::track::kPull, "pull"));
+  if (server.pull != nullptr) {
     // The uplink shares the air with the downlink: requests are lost in
     // flight at the channel's loss rate, drawn from the dedicated
     // (client, kUplink) fault sub-stream so pull never perturbs the
@@ -316,53 +340,15 @@ Result<SimResult> RunSimulation(const SimParams& params,
       uplink_loss = params.fault.loss;
     }
     pull_client = std::make_unique<pull::PullClient>(
-        &sim, pull_server.get(), params.pull, uplink_rng, uplink_loss);
-  }
-  const std::vector<bool> cold_pages = ColdPageSet(pop, *program);
-  // The adaptive control plane: a shared loss monitor (and, under
-  // --adapt_reopt, a demand monitor) feeding the epoch controller.
-  // Nothing is built (and no event scheduled) when off.
-  std::unique_ptr<adapt::LossMonitor> loss_monitor;
-  std::unique_ptr<adapt::AccessMonitor> access_monitor;
-  std::unique_ptr<adapt::Controller> controller;
-  if (params.adapt.Active()) {
-    if (params.fault.Active()) {
-      loss_monitor = std::make_unique<adapt::LossMonitor>(
-          static_cast<PageId>(params.ServerDbSize()));
-    }
-    if (params.adapt.reopt) {
-      access_monitor = std::make_unique<adapt::AccessMonitor>(
-          static_cast<PageId>(params.ServerDbSize()));
-    }
-    adapt::Controller::Hooks hooks;
-    hooks.channel = &channel;
-    hooks.pull = (pull_server != nullptr && pull_server->enabled())
-                     ? pull_server.get()
-                     : nullptr;
-    hooks.loss = loss_monitor.get();
-    hooks.access = access_monitor.get();
-    if (params.optimizer == "rbo") {
-      // A bit-reversal schedule is not a chunked minor-cycle program, so
-      // rebuilds must not regenerate through GenerateMultiDiskProgram;
-      // the geometry never changes mid-run, so the original seat program
-      // (seats == pages at build time) is exactly the rebuild target.
-      hooks.make_program =
-          [program](const DiskLayout&) -> Result<BroadcastProgram> {
-        return BroadcastProgram(*program);
-      };
-    }
-    controller = std::make_unique<adapt::Controller>(&sim, *layout,
-                                                     params.adapt, hooks);
-    BCAST_TIMELINE(observers.timeline,
-                   NameTrack(obs::track::kController, "adapt"));
+        &sim, server.pull.get(), params.pull, uplink_rng, uplink_loss);
   }
 
   WorldShared shared;
   shared.params = &pop;
-  shared.layout = layout;
+  shared.layout = &schedule->layout;
   shared.program = program;
   shared.hybrid = &schedule->hybrid;
-  shared.cold_pages = &cold_pages;
+  shared.cold_pages = &server.cold_pages;
   shared.timeline = observers.timeline;
   shared.trace = observers.trace;
   const Rng master(params.seed);
@@ -372,13 +358,14 @@ Result<SimResult> RunSimulation(const SimParams& params,
   inputs.sim = &sim;
   inputs.channel = &channel;
   inputs.server_faults = server_faults.get();
-  inputs.loss_sink = loss_monitor.get();
+  inputs.loss_sink = server.loss.get();
   inputs.pull = std::move(pull_client);
-  inputs.cold_wait =
-      controller != nullptr ? &controller->stats().cold_wait : nullptr;
+  inputs.cold_wait = server.controller != nullptr
+                         ? &server.controller->stats().cold_wait
+                         : nullptr;
   inputs.noise_destination = params.noise_destination;
   inputs.knows_schedule = params.knows_schedule;
-  inputs.access = access_monitor.get();
+  inputs.access = server.access.get();
   ClientWorld world;
   BCAST_RETURN_IF_ERROR(BuildClientWorld(shared, std::move(inputs), &world));
   const Client& client = *world.client;
@@ -409,9 +396,9 @@ Result<SimResult> RunSimulation(const SimParams& params,
                               static_cast<double>(s.win_requests)
                         : 0.0;
     s.served_per_disk = m.served_per_disk();
-    if (pull_server != nullptr) {
-      s.pull_queue_depth = pull_server->queue_depth();
-      s.pull_serviced = pull_server->stats().serviced_pages;
+    if (server.pull != nullptr) {
+      s.pull_queue_depth = server.pull->queue_depth();
+      s.pull_serviced = server.pull->stats().serviced_pages;
     }
     if (world.receiver != nullptr) {
       s.fault_lost = world.receiver->stats().lost;
@@ -427,7 +414,7 @@ Result<SimResult> RunSimulation(const SimParams& params,
   VersionTicker version_ticker;
   version_ticker.Start(&sim, &channel, params.fault.process.version_every);
   sim.Spawn(world.client->Run());
-  if (controller != nullptr) controller->Start();
+  if (server.controller != nullptr) server.controller->Start();
   // A horizon bounds the run: the chaos harness's no-hang check. A
   // scenario whose client cannot finish by it is a liveness violation,
   // reported as an error instead of aborting the process.
@@ -476,13 +463,13 @@ Result<SimResult> RunSimulation(const SimParams& params,
     result.faults.version_bumps = version_ticker.bumps();
     result.faults_active = true;
   }
-  if (pull_server != nullptr) {
-    pull_server->FinishRun(sim.Now());
-    result.pull_stats = pull_server->stats();
+  if (server.pull != nullptr) {
+    server.pull->FinishRun(sim.Now());
+    result.pull_stats = server.pull->stats();
     result.pull_active = true;
   }
-  if (controller != nullptr) {
-    result.adapt_stats = controller->stats();
+  if (server.controller != nullptr) {
+    result.adapt_stats = server.controller->stats();
     result.adapt_active = true;
   }
   result.cold_requests = client.cold_requests();

@@ -2,11 +2,12 @@
 /// \brief End-to-end wiring: params → program + mapping + cache + client →
 /// one simulated run → results.
 ///
-/// `BuildSchedule` and `BuildClientWorld` are the one place a run's
-/// schedule and a client's world are built; the single, updates and
-/// population runners and the analytic model all call them. A single run
-/// is a population of one there (`PopulationFromSimParams(params, 1)`,
-/// client 0), and what it does differently is passed in as data.
+/// `BuildSchedule`, `BuildServerWorld` and `BuildClientWorld` are the one
+/// place a run's schedule, its server side and a client's world are
+/// built; the single, updates and population runners and the analytic
+/// model call them. A single run is a population of one there
+/// (`PopulationFromSimParams(params, 1)`, client 0), and what it does
+/// differently is passed in as data.
 
 #ifndef BCAST_CORE_SIMULATOR_H_
 #define BCAST_CORE_SIMULATOR_H_
@@ -20,6 +21,7 @@
 #include "adapt/adapt_params.h"
 #include "adapt/adapt_stats.h"
 #include "adapt/access_monitor.h"
+#include "adapt/controller.h"
 #include "adapt/loss_monitor.h"
 #include "broadcast/channel.h"
 #include "broadcast/disk_config.h"
@@ -41,6 +43,7 @@
 #include "pull/hybrid.h"
 #include "pull/pull_client.h"
 #include "pull/pull_params.h"
+#include "pull/pull_server.h"
 #include "pull/pull_stats.h"
 
 namespace bcast {
@@ -286,9 +289,9 @@ std::vector<double> NominalAccessProbs(uint64_t access_range,
 /// layout. Active pull interleaves its slots last.
 Result<ServerSchedule> BuildSchedule(const MultiClientParams& params);
 
-/// \brief The schedule of a single run: validates \p params, then builds
-/// the schedule of `PopulationFromSimParams(params, 1)` — bit-identical,
-/// since the mean of one distribution is that distribution.
+/// \brief The schedule of a single run: the schedule of
+/// `PopulationFromSimParams(params, 1)` — bit-identical, since the mean
+/// of one distribution is that distribution.
 Result<ServerSchedule> BuildSchedule(const SimParams& params);
 
 /// \brief The cold-page set pinned to the initial \p program, indexed by
@@ -297,6 +300,50 @@ Result<ServerSchedule> BuildSchedule(const SimParams& params);
 /// adaptation is on and the program has more than one disk.
 std::vector<bool> ColdPageSet(const MultiClientParams& params,
                               const BroadcastProgram& program);
+
+/// \brief The server side of one run: the subsystems the paper
+/// centralizes. `BuildServerWorld` is the only place they are built; each
+/// member is null (or empty) when its feature is off.
+struct ServerWorld {
+  std::unique_ptr<pull::PullServer> pull;         ///< active pull
+  std::unique_ptr<adapt::LossMonitor> loss;       ///< adaptation + faults
+  std::unique_ptr<adapt::AccessMonitor> access;   ///< `--adapt_reopt`
+  std::unique_ptr<adapt::Controller> controller;  ///< adaptation
+  std::vector<bool> cold_pages;                   ///< `ColdPageSet`
+
+  /// True when the program on the air carries pull capacity.
+  bool pull_enabled() const { return pull != nullptr && pull->enabled(); }
+};
+
+/// \brief What the caller supplies to `BuildServerWorld`: everything a
+/// single run and the population engine do differently on the server
+/// side.
+struct ServerInputs {
+  /// The simulation the server lives on (its attached timeline gets the
+  /// pull and controller tracks) and the channel it steers: a single
+  /// run's own, or the engine's coordinator simulation and its
+  /// client-less channel. Both must outlive the server world.
+  des::Simulation* sim = nullptr;
+  BroadcastChannel* channel = nullptr;
+
+  /// How pull transmissions reach clients. Unset (single mode), an
+  /// enabled pull server registers its waiters on `channel`; the engine
+  /// supplies the fanout that mirrors each transmission into its shards.
+  std::function<void(PageId, double)> pull_fanout;
+
+  /// The controller's `liveness` and `on_switch` hooks (unset in single
+  /// mode); `BuildServerWorld` fills in the subsystems it steers.
+  adapt::Controller::Hooks controller_hooks;
+};
+
+/// \brief Builds the server side of a run over \p schedule (the one
+/// \p params was built into): the pull server, the loss and
+/// `--adapt_reopt` access monitors, the adaptive controller and the
+/// cold-page set, and names the pull and controller timeline tracks.
+/// Schedules no event; the caller starts the controller.
+ServerWorld BuildServerWorld(const MultiClientParams& params,
+                             const ServerSchedule& schedule,
+                             ServerInputs in);
 
 /// \brief The schedule-version chain of `fault.process.version_every`:
 /// every `every` slots the server re-announces its program (same

@@ -130,6 +130,14 @@ Result<MultiClientResult> RunPopulationSimulation(
 
   BCAST_RETURN_IF_ERROR(params.Validate());
   BCAST_RETURN_IF_ERROR(pop.Validate());
+  // Validate admits --adapt_reopt for a population of one, but the
+  // engine has no demand monitor to feed it.
+  if (params.adapt.Active() && params.adapt.reopt) {
+    return Status::InvalidArgument(
+        "measured-frequency re-optimization (--adapt_reopt) is "
+        "single-client only: the population engine has no demand "
+        "monitor; use --mode=single");
+  }
   const uint64_t n_clients = params.clients.size();
   PopParams layout_pop = pop;
   layout_pop.clients = n_clients;
@@ -141,7 +149,6 @@ Result<MultiClientResult> RunPopulationSimulation(
     return BuildSchedule(params);
   }();
   if (!schedule.ok()) return schedule.status();
-  const DiskLayout* const layout = &schedule->layout;
   const BroadcastProgram* const program = &schedule->program;
 
   obs::Stopwatch setup_watch;
@@ -154,20 +161,8 @@ Result<MultiClientResult> RunPopulationSimulation(
   if (observers.profile_des) server_sim.EnableProfiling();
   server_sim.AttachTimeline(observers.timeline);
   BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kSim, "des"));
-  BroadcastChannel server_channel(&server_sim, &*program);
+  BroadcastChannel server_channel(&server_sim, program);
 
-  std::unique_ptr<pull::PullServer> pull_server;
-  if (params.pull.Active()) {
-    pull_server = std::make_unique<pull::PullServer>(
-        &server_sim, schedule->hybrid, params.pull);
-    BCAST_TIMELINE(observers.timeline, NameTrack(obs::track::kPull, "pull"));
-  }
-  const bool pull_on = pull_server != nullptr && pull_server->enabled();
-
-  const std::vector<bool> cold_pages = ColdPageSet(params, *program);
-
-  std::unique_ptr<adapt::LossMonitor> loss_monitor;
-  std::unique_ptr<adapt::Controller> controller;
   // The controller's epoch-barrier products, captured by its hooks while
   // the server simulation runs and forwarded to the shards before the
   // next round.
@@ -179,40 +174,33 @@ Result<MultiClientResult> RunPopulationSimulation(
   };
   std::vector<SwitchInfo> pending_switches;
   uint64_t unfinished_total = n_clients;
-  if (params.adapt.Active()) {
-    if (params.fault.Active()) {
-      loss_monitor = std::make_unique<adapt::LossMonitor>(
-          static_cast<PageId>(layout->TotalPages()));
-    }
-    adapt::Controller::Hooks hooks;
-    hooks.channel = &server_channel;
-    hooks.pull = pull_on ? pull_server.get() : nullptr;
-    hooks.loss = loss_monitor.get();
-    hooks.liveness = [&unfinished_total]() { return unfinished_total > 0; };
-    hooks.on_switch = [&pending_switches](
-                          const BroadcastProgram* prog,
-                          const pull::HybridLayout* hybrid, double now) {
-      const double interval =
-          hybrid != nullptr ? hybrid->ServiceInterval() : 0.0;
-      pending_switches.push_back(
-          SwitchInfo{prog, interval, hybrid != nullptr, now});
-    };
-    controller = std::make_unique<adapt::Controller>(&server_sim, *layout,
-                                                     params.adapt, hooks);
-    BCAST_TIMELINE(observers.timeline,
-                   NameTrack(obs::track::kController, "adapt"));
-  }
-
   // Pull transmissions observed on the server, mirrored into every
   // shard's next round (each delivery ends strictly after the barrier
   // that produced it, so the mirror always lands inside the next round).
   std::vector<std::pair<PageId, double>> pending_mirrors;
-  if (pull_server != nullptr) {
-    pull_server->SetServiceFanout([&pending_mirrors](PageId page,
-                                                     double end) {
-      pending_mirrors.emplace_back(page, end);
-    });
-  }
+  ServerInputs server_inputs;
+  server_inputs.sim = &server_sim;
+  server_inputs.channel = &server_channel;
+  server_inputs.pull_fanout = [&pending_mirrors](PageId page, double end) {
+    pending_mirrors.emplace_back(page, end);
+  };
+  server_inputs.controller_hooks.liveness = [&unfinished_total]() {
+    return unfinished_total > 0;
+  };
+  server_inputs.controller_hooks.on_switch =
+      [&pending_switches](const BroadcastProgram* prog,
+                          const pull::HybridLayout* hybrid, double now) {
+        const double interval =
+            hybrid != nullptr ? hybrid->ServiceInterval() : 0.0;
+        pending_switches.push_back(
+            SwitchInfo{prog, interval, hybrid != nullptr, now});
+      };
+  ServerWorld server =
+      BuildServerWorld(params, *schedule, std::move(server_inputs));
+  pull::PullServer* const pull_server = server.pull.get();
+  adapt::Controller* const controller = server.controller.get();
+  adapt::LossMonitor* const loss_monitor = server.loss.get();
+  const bool pull_on = server.pull_enabled();
 
   ClientStore store(n_clients, n_shards, pop.classes,
                     /*need_pull=*/params.pull.Active(),
@@ -220,10 +208,10 @@ Result<MultiClientResult> RunPopulationSimulation(
 
   ShardShared shared;
   shared.params = &params;
-  shared.layout = &*layout;
-  shared.program = &*program;
+  shared.layout = &schedule->layout;
+  shared.program = program;
   shared.hybrid = &schedule->hybrid;
-  shared.cold_pages = &cold_pages;
+  shared.cold_pages = &server.cold_pages;
   shared.timeline = observers.timeline;
   shared.trace = observers.trace;
   shared.pull_enabled = pull_on;

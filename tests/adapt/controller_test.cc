@@ -1,10 +1,17 @@
 // The pull-slot hysteresis rule in isolation: sustained signals act after
 // exactly `hysteresis_epochs`, mixed signals never act, every move resets
-// the streak, and the configured bounds are never crossed.
+// the streak, and the configured bounds are never crossed. Then the
+// controller's push-only rebuild rule: relabel the seat program.
 
 #include "adapt/controller.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+
+#include "broadcast/generator.h"
+#include "core/params.h"
+#include "core/simulator.h"
 
 namespace bcast::adapt {
 namespace {
@@ -101,6 +108,71 @@ TEST(SlotControllerTest, ConvergesUnderStationaryLoad) {
   EXPECT_EQ(control.slots(), 3u);
   EXPECT_EQ(control.grows(), 2u);
   EXPECT_EQ(control.shrinks(), 0u);
+}
+
+// A push-only rebuild re-applies the promotion map to the program the
+// channel started with. Under rbo that is the bit-reversal seat program,
+// which a Delta-chunked multi-disk program over the same layout is not:
+// every switched-to program keeps the seat program's period, and each
+// page is broadcast as often as the seat it was promoted into.
+TEST(ControllerTest, PushOnlyRebuildRelabelsTheSeatProgram) {
+  SimParams sim_params;  // the paper's D5 geometry
+  sim_params.optimizer = "rbo";
+  Result<ServerSchedule> schedule = BuildSchedule(sim_params);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const BroadcastProgram& seats = schedule->program;
+  Result<BroadcastProgram> chunked =
+      GenerateMultiDiskProgram(schedule->layout);
+  ASSERT_TRUE(chunked.ok());
+  ASSERT_NE(chunked->period(), seats.period());
+
+  des::Simulation sim;
+  BroadcastChannel channel(&sim, &seats);
+  LossMonitor loss(seats.num_pages());
+  AdaptParams params = Defaults();
+  params.epoch_cycles = 1;
+  params.max_promote = 4;
+  constexpr uint64_t kEpochs = 4;
+  std::unique_ptr<Controller> controller;
+  uint64_t switches = 0;
+  uint64_t mismatched_pages = 0;
+  Controller::Hooks hooks;
+  hooks.channel = &channel;
+  hooks.loss = &loss;
+  hooks.liveness = [&controller]() {
+    return controller->stats().epochs < kEpochs;
+  };
+  hooks.on_switch = [&](const BroadcastProgram* program,
+                        const pull::HybridLayout* hybrid, double) {
+    ++switches;
+    EXPECT_EQ(hybrid, nullptr);
+    EXPECT_EQ(program->period(), seats.period());
+    const PromotionMap& perm = controller->promotions();
+    for (PageId p = 0; p < program->num_pages(); ++p) {
+      if (program->Frequency(p) !=
+          seats.Frequency(static_cast<PageId>(perm.SeatOf(p)))) {
+        ++mismatched_pages;
+      }
+    }
+  };
+  controller = std::make_unique<Controller>(&sim, schedule->layout, params,
+                                            hooks);
+  // Fresh losses on the slowest disk before every epoch boundary, so
+  // every epoch promotes and rebuilds.
+  const double period = static_cast<double>(seats.period());
+  for (uint64_t e = 0; e < kEpochs; ++e) {
+    sim.ScheduleAt(period * static_cast<double>(e) + 1.0, [&loss, e]() {
+      for (PageId p = 4000 + 10 * e; p < 4010 + 10 * e; ++p) {
+        loss.OnFailedAttempt(p);
+      }
+    });
+  }
+  controller->Start();
+  sim.Run();
+  EXPECT_EQ(controller->stats().epochs, kEpochs);
+  EXPECT_EQ(switches, kEpochs);
+  EXPECT_EQ(controller->stats().rebuilds, kEpochs);
+  EXPECT_EQ(mismatched_pages, 0u);
 }
 
 }  // namespace

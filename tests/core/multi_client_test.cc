@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -80,6 +81,35 @@ TEST(MultiClientValidationTest, RejectsReoptForPopulations) {
   const Status st = params.Validate();
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("single-client only"), std::string::npos);
+}
+
+// The schedule build trusts Validate: a non-delta optimizer computes the
+// population's nominal probabilities from every client's theta, and a
+// negative theta used to abort the process inside that build.
+TEST(MultiClientValidationTest, RejectsNegativeThetaBeforeTheScheduleBuild) {
+  MultiClientParams params = SmallPopulation(2);
+  params.optimizer = "ksy";
+  params.clients[0].theta = -1.0;
+  const Status st = params.Validate();
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("client 0: theta"), std::string::npos)
+      << st.ToString();
+  EXPECT_FALSE(BuildSchedule(params).ok());
+}
+
+TEST(MultiClientValidationTest, RejectsNonFiniteClientKnobs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf}) {
+    MultiClientParams params = SmallPopulation(2);
+    params.clients[1].think_time = bad;
+    EXPECT_FALSE(params.Validate().ok()) << "think_time " << bad;
+    EXPECT_FALSE(BuildSchedule(params).ok()) << "think_time " << bad;
+    params = SmallPopulation(2);
+    params.clients[1].theta = bad;
+    EXPECT_FALSE(params.Validate().ok()) << "theta " << bad;
+    EXPECT_FALSE(BuildSchedule(params).ok()) << "theta " << bad;
+  }
 }
 
 TEST(MultiClientTest, PopulationNominalProbsIsTheHottestFirstMean) {

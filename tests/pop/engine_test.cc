@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "broadcast/generator.h"
 #include "core/multi_client.h"
+#include "core/simulator.h"
 #include "obs/run_report.h"
 #include "obs/stats_stream.h"
+#include "obs/timeline.h"
 #include "pop/client_store.h"
 #include "pop/pop_params.h"
 #include "tests/pop/population_test_util.h"
@@ -203,6 +206,71 @@ TEST(PopulationEngineTest, StatsObservationDoesNotPerturbTheRun) {
     return SimulationBytes(std::move(report));
   };
   EXPECT_EQ(normalized(*observed), normalized(*unobserved));
+}
+
+// Validate admits --adapt_reopt for a population of one (single mode runs
+// it), but the engine has no demand monitor: it refuses the run itself.
+TEST(PopulationEngineTest, RejectsReoptEvenForAPopulationOfOne) {
+  MultiClientParams params = MakePopulation(1);
+  params.adapt.epoch_cycles = 2;
+  params.adapt.reopt = true;
+  ASSERT_TRUE(params.Validate().ok());
+  PopParams pop;
+  pop.clients = 1;
+  auto result = RunPopulationSimulation(params, pop);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("--adapt_reopt"),
+            std::string::npos);
+}
+
+// Under rbo, the engine's controller relabels the bit-reversal seat
+// program on every push-only rebuild, as single mode does; it must not
+// regenerate a Delta-chunked multi-disk program over the same layout.
+// Every epoch tick is `epoch_cycles` periods of the program on the air
+// after the previous one, so the controller's epoch instants on the
+// timeline give away the period of every program the engine switched to.
+TEST(PopulationEngineTest, RboAdaptationKeepsTheSeatProgram) {
+  MultiClientParams params = MakePopulation(3);
+  params.optimizer = "rbo";
+  params.fault.loss = 0.1;
+  params.adapt.epoch_cycles = 4;
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const double seat_period = static_cast<double>(schedule->program.period());
+  Result<BroadcastProgram> chunked =
+      GenerateMultiDiskProgram(schedule->layout);
+  ASSERT_TRUE(chunked.ok());
+  ASSERT_NE(chunked->period(), schedule->program.period())
+      << "the geometry cannot tell the two programs apart";
+
+  std::ostringstream timeline_bytes;
+  obs::TimelineWriter timeline(&timeline_bytes);
+  SimObservers observers;
+  observers.timeline = &timeline;
+  PopParams pop;
+  pop.clients = 3;
+  auto result = RunPopulationSimulation(params, pop, observers);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  timeline.Close();
+  ASSERT_GT(result->adapt_stats.rebuilds, 0u);
+
+  const std::string text = timeline_bytes.str();
+  std::vector<double> ticks;
+  for (size_t at = text.find("\"name\": \"epoch\"");
+       at != std::string::npos;
+       at = text.find("\"name\": \"epoch\"", at + 1)) {
+    const size_t ts = text.find("\"ts\": ", at);
+    ASSERT_NE(ts, std::string::npos);
+    ticks.push_back(std::stod(text.substr(ts + 6)));
+  }
+  ASSERT_EQ(ticks.size(), result->adapt_stats.epochs);
+  ASSERT_GE(ticks.size(), 2u);
+  EXPECT_DOUBLE_EQ(ticks[0], 4 * seat_period);
+  for (size_t i = 1; i < ticks.size(); ++i) {
+    EXPECT_DOUBLE_EQ(ticks[i] - ticks[i - 1], 4 * seat_period)
+        << "epoch " << i + 1;
+  }
 }
 
 }  // namespace

@@ -257,6 +257,22 @@ int Run(int argc, const char* const* argv) {
     usage_error = "--knows_schedule is a single-client knob; population "
                   "and updates clients have no such setting";
   }
+  if (usage_error.empty() && mode == "updates") {
+    for (const char* name :
+         {"trace_out", "trace_timeline", "stats_out", "profile_des"}) {
+      if (flags.WasSet(name)) {
+        usage_error = std::string("--") + name +
+                      " applies to --mode=single and --mode=population "
+                      "only";
+        break;
+      }
+    }
+  }
+  if (usage_error.empty() && mode == "population" &&
+      flags.WasSet("adapt_reopt")) {
+    usage_error = "--adapt_reopt re-seats by one client's measured demand; "
+                  "it applies to --mode=single only";
+  }
   if (usage_error.empty() && mode == "population" && clients == 0) {
     usage_error = "--clients must be at least 1";
   }
@@ -268,13 +284,6 @@ int Run(int argc, const char* const* argv) {
     return 2;
   }
 
-  if (mode == "updates" &&
-      (!trace_out.empty() || !trace_timeline.empty() ||
-       !stats_out.empty() || profile_des)) {
-    BCAST_LOG(kWarning)
-        << "--trace_out/--trace_timeline/--stats_out/--profile_des do "
-           "not apply to --mode=updates; ignored";
-  }
   if (mode == "updates") {
     return RunUpdates(params, update_rate, update_theta, consistency,
                       report_out);
