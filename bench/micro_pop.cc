@@ -2,11 +2,15 @@
 // several shard counts (the scaling knob), population size scaling at a
 // fixed shard count, and the SPSC uplink queue the shards talk through.
 //
-// The population benches are ratio-style: compare shard counts within
-// one run (or one machine) rather than reading absolute wall-clock as
-// truth — a single-core container serializes the workers, so Arg(8) vs
-// Arg(1) measures engine overhead there, not parallel speedup. Items
-// processed is the client count, so `items_per_second` reads as
+// The engine runs shard 0 on the calling thread and shards 1..K-1 on K-1
+// worker threads, so the population benches measure wall time
+// (`UseRealTime`) and the CPU time of the whole process
+// (`MeasureProcessCPUTime`): google-benchmark's default `cpu_time` counts
+// the calling thread alone and would miss every worker's share. Compare
+// shard counts within one run on one machine: Arg(K) beats Arg(1) in
+// `real_time` only when the machine grants the process K cores, and
+// Arg(8) on fewer cores measures engine overhead, not parallel speedup.
+// Items processed is the client count, so `items_per_second` reads as
 // simulated clients per wall second.
 
 #include <benchmark/benchmark.h>
@@ -69,6 +73,8 @@ BENCHMARK(BM_PopulationShards)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_PopulationScale(benchmark::State& state) {
@@ -77,6 +83,8 @@ void BM_PopulationScale(benchmark::State& state) {
 BENCHMARK(BM_PopulationScale)
     ->Arg(1000)
     ->Arg(10000)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
 
 // Single-threaded ring push/pop steady state: the uplink fast path.

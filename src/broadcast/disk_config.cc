@@ -16,7 +16,10 @@ std::string DiskLayout::ToString() const {
   size_strs.reserve(sizes.size());
   for (uint64_t s : sizes) size_strs.push_back(std::to_string(s));
   for (uint64_t f : rel_freqs) freq_strs.push_back(std::to_string(f));
-  return "<" + Join(size_strs, ",") + ">@freqs{" + Join(freq_strs, ",") + "}";
+  std::string out = "<";
+  out.append(Join(size_strs, ",")).append(">@freqs{");
+  out.append(Join(freq_strs, ",")).append("}");
+  return out;
 }
 
 Status ValidateLayout(const DiskLayout& layout) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/json_reader.h"
 
@@ -20,6 +21,14 @@ double UnitToNanos(const std::string& unit) {
   if (unit == "s") return 1e9;
   return 1.0;  // unknown unit: compare raw values
 }
+
+// Both clocks are gated: google-benchmark's `cpu_time` counts only the
+// calling thread unless a benchmark measures process CPU time, so work
+// on other threads can slow a benchmark down in `real_time` alone.
+constexpr std::pair<const char*, double BenchEntry::*> kClocks[] = {
+    {".cpu_ns", &BenchEntry::cpu_time},
+    {".real_ns", &BenchEntry::real_time},
+};
 
 }  // namespace
 
@@ -97,33 +106,37 @@ BaselineDiff CompareBenchRuns(const BenchRun& baseline,
     }
     matched[base.name] = true;
     const BenchEntry& act = *it->second;
-    const double base_ns = base.cpu_time * UnitToNanos(base.time_unit);
-    const double act_ns = act.cpu_time * UnitToNanos(act.time_unit);
-    DiffEntry entry;
-    entry.metric = base.name + ".cpu_ns";
-    entry.baseline = base_ns;
-    entry.actual = act_ns;
-    entry.tolerance = options.time;
-    const double denom = std::max(std::fabs(base_ns), 1e-12);
-    entry.relative_delta = std::fabs(act_ns - base_ns) / denom;
-    const bool improvement = act_ns <= base_ns;
-    entry.informational =
-        !options.check_time || (options.regressions_only && improvement);
-    entry.ok =
-        entry.informational || entry.relative_delta <= options.time;
-    diff.entries.push_back(std::move(entry));
+    for (const auto& [clock, time] : kClocks) {
+      const double base_ns = base.*time * UnitToNanos(base.time_unit);
+      const double act_ns = act.*time * UnitToNanos(act.time_unit);
+      DiffEntry entry;
+      entry.metric = base.name + clock;
+      entry.baseline = base_ns;
+      entry.actual = act_ns;
+      entry.tolerance = options.time;
+      const double denom = std::max(std::fabs(base_ns), 1e-12);
+      entry.relative_delta = std::fabs(act_ns - base_ns) / denom;
+      const bool improvement = act_ns <= base_ns;
+      entry.informational =
+          !options.check_time || (options.regressions_only && improvement);
+      entry.ok =
+          entry.informational || entry.relative_delta <= options.time;
+      diff.entries.push_back(std::move(entry));
+    }
   }
   for (const BenchEntry& act : actual.entries) {
     if (matched.count(act.name)) continue;
     // New benchmark: informational, never a failure — adding coverage
     // must not require touching the baseline first.
-    DiffEntry entry;
-    entry.metric = act.name + ".cpu_ns (new)";
-    entry.baseline = 0.0;
-    entry.actual = act.cpu_time * UnitToNanos(act.time_unit);
-    entry.informational = true;
-    entry.ok = true;
-    diff.entries.push_back(std::move(entry));
+    for (const auto& [clock, time] : kClocks) {
+      DiffEntry entry;
+      entry.metric = act.name + clock + " (new)";
+      entry.baseline = 0.0;
+      entry.actual = act.*time * UnitToNanos(act.time_unit);
+      entry.informational = true;
+      entry.ok = true;
+      diff.entries.push_back(std::move(entry));
+    }
   }
   return diff;
 }

@@ -54,7 +54,8 @@ Result<BenchRun> LoadBenchJson(const std::string& path);
 
 /// \brief Comparison knobs for `CompareBenchRuns`.
 struct BenchToleranceOptions {
-  /// Relative tolerance on per-iteration CPU time.
+  /// Relative tolerance on per-iteration time, applied to CPU time and
+  /// real time alike (`<name>.cpu_ns` and `<name>.real_ns` diff entries).
   double time = 0.10;
 
   /// When false, time deltas are recorded in the diff but never fail it
@@ -70,7 +71,7 @@ struct BenchToleranceOptions {
 };
 
 /// \brief Diffs \p actual against \p baseline benchmark-by-benchmark
-/// (matched on full name). A benchmark present in the baseline but
+/// (matched on full name), on both clocks. A benchmark present in the baseline but
 /// missing from the candidate is a structural mismatch — a renamed or
 /// deleted benchmark must be an explicit baseline update, never a silent
 /// pass. New benchmarks in the candidate are recorded informationally.

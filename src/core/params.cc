@@ -37,16 +37,16 @@ std::string SimParams::ToString() const {
   // Faults extend the identity string only when active, so every
   // pre-fault config string (and golden baseline) is untouched.
   if (fault.Active()) {
-    summary += " " + fault.ToString();
+    summary.append(" ").append(fault.ToString());
   }
   // Same contract for pull: the identity string only grows when the
   // hybrid machinery is on, so pure-push goldens never shift.
   if (pull.Active()) {
-    summary += " " + pull.ToString();
+    summary.append(" ").append(pull.ToString());
   }
   // And for adaptation: a static run's identity never mentions it.
   if (adapt.Active()) {
-    summary += " " + adapt.ToString();
+    summary.append(" ").append(adapt.ToString());
   }
   return summary;
 }

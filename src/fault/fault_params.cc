@@ -95,7 +95,7 @@ std::string FaultParams::ToString() const {
       loss, burst_len, corrupt, doze_for, doze_for > 0.0 ? awake_for : 0.0,
       static_cast<unsigned long long>(deadline_arrivals), backoff_base,
       backoff_cap, static_cast<unsigned long long>(fault_seed));
-  if (process.Active()) s += "," + process.ToString();
+  if (process.Active()) s.append(",").append(process.ToString());
   return s;
 }
 

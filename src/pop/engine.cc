@@ -32,17 +32,20 @@
 namespace bcast::pop {
 namespace {
 
-/// K parked worker threads, one per shard, driven in lock-step rounds.
-/// The gate mutex publishes the coordinator's mailbox writes to the
-/// workers (acquire at round start) and the workers' shard state back
-/// (release at round end), so shard internals need no atomics.
+/// Runs the shards in lock-step rounds: shard 0 on the calling
+/// (coordinator) thread, shards 1..K-1 on K-1 parked worker threads. At
+/// K=1 there is no worker, so a round is a plain call with no lock and
+/// no thread switch. The gate mutex publishes the coordinator's mailbox
+/// writes to the workers (acquire at round start) and the workers' shard
+/// state back (release at round end), so shard internals need no atomics.
 class WorkerPool {
  public:
   explicit WorkerPool(std::vector<std::unique_ptr<Shard>>* shards)
       : shards_(shards) {
-    threads_.reserve(shards_->size());
-    for (auto& shard : *shards_) {
-      threads_.emplace_back([this, s = shard.get()]() { WorkerMain(s); });
+    threads_.reserve(shards_->size() - 1);
+    for (size_t i = 1; i < shards_->size(); ++i) {
+      threads_.emplace_back(
+          [this, s = (*shards_)[i].get()]() { WorkerMain(s); });
     }
   }
 
@@ -57,16 +60,22 @@ class WorkerPool {
 
   /// Runs one round on every shard; returns when all are parked again.
   void RunRound(double barrier, bool to_completion) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      barrier_ = barrier;
-      to_completion_ = to_completion;
-      done_ = 0;
-      ++seq_;
+    const bool workers = !threads_.empty();
+    if (workers) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        barrier_ = barrier;
+        to_completion_ = to_completion;
+        done_ = 0;
+        ++seq_;
+      }
+      cv_start_.notify_all();
     }
-    cv_start_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this]() { return done_ == shards_->size(); });
+    (*shards_)[0]->RunRound(barrier, to_completion);
+    if (workers) {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_done_.wait(lock, [this]() { return done_ == threads_.size(); });
+    }
   }
 
  private:

@@ -1,5 +1,6 @@
 /// \file engine.h
-/// \brief The sharded population engine: N clients over K worker threads.
+/// \brief The sharded population engine: N clients over K shards, run by
+/// the calling thread plus K-1 workers.
 ///
 /// The engine partitions the population into contiguous shards, each a
 /// private discrete-event simulation (see shard.h), and couples them to
@@ -25,7 +26,10 @@
 /// fully parallel.
 ///
 /// This is the only population runner: `bcastsim --mode=population`,
-/// the chaos harness and the benches all run it, on `--shards` threads.
+/// the chaos harness and the benches all run it, on `--shards` shards.
+/// The calling thread is the coordinator and also runs shard 0; shards
+/// 1..K-1 run on K-1 worker threads, so K=1 starts no thread and a
+/// round costs no thread handshake.
 ///
 /// Determinism contract:
 ///   - Results are **shard-count invariant**: any K produces the same
@@ -58,7 +62,8 @@ namespace bcast::pop {
 
 /// \brief Runs \p params.clients (already expanded to the population,
 /// with any class profiles applied to the specs) across
-/// \p pop.EffectiveShards() worker threads. Deterministic in
+/// \p pop.EffectiveShards() shards: the calling thread runs shard 0 and
+/// K-1 worker threads run the rest. Deterministic in
 /// `params.seed`; invariant in the shard count.
 Result<MultiClientResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop,

@@ -1,8 +1,8 @@
 /// \file pop_params.h
 /// \brief Parameters of the sharded population engine.
 ///
-/// The engine simulates N clients partitioned across K worker threads
-/// (shards). Results are deterministic in the run seed and invariant in
+/// The engine simulates N clients partitioned across K shards, run by
+/// the calling thread plus K-1 worker threads. Results are deterministic in the run seed and invariant in
 /// K: the shard count is an execution detail, like the DES queue
 /// backend, never a semantic knob. Receiver heterogeneity is expressed
 /// as *class profiles* — named fractions of the population whose
@@ -40,7 +40,8 @@ struct PopParams {
   /// Population size.
   uint64_t clients = 1;
 
-  /// Worker shards (threads). Results are invariant in the shard count,
+  /// Shards: the calling thread runs one, K-1 worker threads run the
+  /// rest. Results are invariant in the shard count,
   /// so the choice is observable only in wall-clock time.
   uint64_t shards = 1;
 

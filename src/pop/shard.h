@@ -1,5 +1,5 @@
 /// \file shard.h
-/// \brief One worker shard of the population engine.
+/// \brief One shard of the population engine.
 ///
 /// A shard owns a private `des::Simulation` plus replicas of everything
 /// a client touches on the data path: a `BroadcastChannel` over the
@@ -14,8 +14,10 @@
 ///
 /// The engine drives a shard in *rounds*: the coordinator writes the
 /// round's mailbox (pending program switch, pending pull-delivery
-/// mirrors) while the worker is parked at the gate, then the worker
-/// applies the mailbox and runs its simulation to the round barrier.
+/// mirrors) between rounds, then the shard's thread applies the mailbox
+/// and runs its simulation to the round barrier. Shard 0 runs on the
+/// coordinator's own thread; shards 1..K-1 each run on a worker thread
+/// that parks at the gate between rounds.
 /// All cross-shard coupling happens at barriers; within a round the
 /// shard shares nothing mutable with anyone.
 
@@ -65,8 +67,9 @@ class Shard {
   /// the first round.
   Status Build(const Rng& master);
 
-  /// \name Round mailbox — coordinator-side, only while the worker is
-  /// parked at the gate (the gate's mutex publishes the writes).
+  /// \name Round mailbox — coordinator-side, only between rounds, while
+  /// any worker is parked at the gate (the gate's mutex publishes the
+  /// writes).
   /// @{
 
   /// The coordinator's pull server transmits \p page in the slot ending
@@ -81,7 +84,8 @@ class Shard {
                    double at);
   /// @}
 
-  /// Worker-side: applies the mailbox, then runs the shard simulation —
+  /// Shard-thread side (the coordinator for shard 0, a worker for the
+  /// rest): applies the mailbox, then runs the shard simulation —
   /// to \p barrier, or to event-queue exhaustion when \p to_completion.
   void RunRound(double barrier, bool to_completion);
 

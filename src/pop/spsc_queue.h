@@ -3,9 +3,9 @@
 /// overflow spill.
 ///
 /// Each population shard owns one of these toward the coordinator: the
-/// shard's worker thread is the only producer (client uplink submits
-/// during a round), the coordinator the only consumer (drained at the
-/// round barrier). The fast path is the classic cache-line-padded
+/// shard's thread is the only producer (client uplink submits during a
+/// round), the coordinator the only consumer (drained at the round
+/// barrier). For shard 0 both are the coordinator's thread. The fast path is the classic cache-line-padded
 /// head/tail ring (DRAMHiT's bqueue shape): the producer writes the slot
 /// then publishes `tail` with a release store; the consumer reads `tail`
 /// with acquire and bumps `head`. A full ring spills to a mutex-guarded

@@ -1,6 +1,6 @@
 // Microbenchmark diffing: parse google-benchmark JSON (skipping
-// aggregate rows), tolerate small time drift, fail structural changes,
-// and record new benchmarks informationally.
+// aggregate rows), tolerate small time drift on either clock, fail
+// structural changes, and record new benchmarks informationally.
 
 #include "check/bench_diff.h"
 
@@ -12,14 +12,17 @@
 namespace bcast::check {
 namespace {
 
-std::string BenchJson(double foo_ns, double bar_us) {
+// BM_Foo's real time defaults to its CPU time; pass \p foo_real_ns to
+// move one clock without the other.
+std::string BenchJson(double foo_ns, double bar_us, double foo_real_ns = -1) {
   std::ostringstream out;
   out << R"({
   "context": {"host_name": "ci", "num_cpus": 4},
   "benchmarks": [
     {"name": "BM_Foo/64", "run_type": "iteration", "iterations": 1000,
      "real_time": )"
-      << foo_ns << R"(, "cpu_time": )" << foo_ns
+      << (foo_real_ns < 0 ? foo_ns : foo_real_ns) << R"(, "cpu_time": )"
+      << foo_ns
       << R"(, "time_unit": "ns"},
     {"name": "BM_Foo/64_mean", "run_type": "aggregate",
      "aggregate_name": "mean", "iterations": 3,
@@ -135,6 +138,46 @@ TEST(CompareBenchRunsTest, RegressionsOnlyStillFailsSlowdowns) {
   EXPECT_FALSE(e->ok);
 }
 
+TEST(CompareBenchRunsTest, RealTimeOnlyRegressionFails) {
+  // Work moved off the calling thread: its CPU clock holds still while
+  // the wall clock slows down 50%.
+  auto baseline = ParseBenchJson(BenchJson(100.0, 3.5, 100.0));
+  auto actual = ParseBenchJson(BenchJson(100.0, 3.5, 150.0));
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_TRUE(actual.ok());
+  BenchToleranceOptions options;
+  options.regressions_only = true;
+  const BaselineDiff diff = CompareBenchRuns(*baseline, *actual, options);
+  EXPECT_FALSE(diff.ok());
+  const DiffEntry* cpu = FindEntry(diff, "BM_Foo/64.cpu_ns");
+  const DiffEntry* real = FindEntry(diff, "BM_Foo/64.real_ns");
+  ASSERT_NE(cpu, nullptr);
+  ASSERT_NE(real, nullptr);
+  EXPECT_TRUE(cpu->ok);
+  EXPECT_FALSE(real->ok);
+  EXPECT_NEAR(real->relative_delta, 0.5, 1e-9);
+  EXPECT_EQ(diff.failures(), 1u);
+}
+
+TEST(CompareBenchRunsTest, CpuTimeOnlyRegressionFails) {
+  // The wall clock holds still while CPU time grows 30%.
+  auto baseline = ParseBenchJson(BenchJson(100.0, 3.5, 200.0));
+  auto actual = ParseBenchJson(BenchJson(130.0, 3.5, 200.0));
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_TRUE(actual.ok());
+  BenchToleranceOptions options;
+  options.regressions_only = true;
+  const BaselineDiff diff = CompareBenchRuns(*baseline, *actual, options);
+  EXPECT_FALSE(diff.ok());
+  const DiffEntry* cpu = FindEntry(diff, "BM_Foo/64.cpu_ns");
+  const DiffEntry* real = FindEntry(diff, "BM_Foo/64.real_ns");
+  ASSERT_NE(cpu, nullptr);
+  ASSERT_NE(real, nullptr);
+  EXPECT_FALSE(cpu->ok);
+  EXPECT_TRUE(real->ok);
+  EXPECT_EQ(diff.failures(), 1u);
+}
+
 TEST(CompareBenchRunsTest, UnitsAreNormalizedBeforeComparing) {
   // 3.5 us in the baseline vs 3500 ns in the candidate: identical.
   auto baseline = ParseBenchJson(BenchJson(100.0, 3.5));
@@ -178,10 +221,12 @@ TEST(CompareBenchRunsTest, NewBenchmarkIsInformationalOnly) {
   ASSERT_TRUE(actual.ok());
   const BaselineDiff diff = CompareBenchRuns(*baseline, *actual);
   EXPECT_TRUE(diff.ok());
-  const DiffEntry* e = FindEntry(diff, "BM_Bar.cpu_ns (new)");
-  ASSERT_NE(e, nullptr);
-  EXPECT_TRUE(e->informational);
-  EXPECT_TRUE(e->ok);
+  for (const char* metric : {"BM_Bar.cpu_ns (new)", "BM_Bar.real_ns (new)"}) {
+    const DiffEntry* e = FindEntry(diff, metric);
+    ASSERT_NE(e, nullptr) << metric;
+    EXPECT_TRUE(e->informational);
+    EXPECT_TRUE(e->ok);
+  }
 }
 
 }  // namespace

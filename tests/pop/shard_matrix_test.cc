@@ -4,17 +4,20 @@
 // normalization. Unlike the engine-vs-golden
 // differential (engine_test.cc), this holds on *coupled* configurations
 // too — pull and adaptation included — because the barrier replay order
-// never mentions shards.
+// never mentions shards. The stats stream, which the coordinator samples
+// from shard state between rounds, is held to the same contract.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/multi_client.h"
 #include "obs/run_report.h"
+#include "obs/stats_stream.h"
 #include "pop/client_store.h"
 #include "pop/engine.h"
 #include "pop/pop_params.h"
@@ -82,6 +85,54 @@ TEST(ShardMatrixTest, ReportsInvariantInShardCount) {
       } else {
         EXPECT_EQ(bytes, reference) << name << " diverged at shards=" << k;
       }
+    }
+  }
+}
+
+TEST(ShardMatrixTest, StatsStreamInvariantInShardCount) {
+  // Every sample line must match across K once the two fields that may
+  // differ are cleared: the wall clock and the shard count itself.
+  MultiClientParams base;
+  for (const auto& [name, params] : GoldenConfigs()) {
+    if (name == "pop_adapt_pull") base = params;
+  }
+  ASSERT_FALSE(base.clients.empty());
+  std::vector<std::string> reference;
+  for (uint64_t k : {1u, 2u, 7u}) {
+    PopParams pop;
+    pop.clients = kClients;
+    pop.shards = k;
+    std::ostringstream stream;
+    obs::StatsWriter writer(&stream);
+    SimObservers observers;
+    observers.stats = &writer;
+    observers.stats_interval = 1000.0;
+    auto result = RunPopulationSimulation(base, pop, observers);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    std::vector<std::string> lines;
+    std::istringstream in(stream.str());
+    std::string line;
+    while (std::getline(in, line)) {
+      auto sample = obs::ParseStatsLine(line);
+      ASSERT_TRUE(sample.ok()) << sample.status().ToString() << ": " << line;
+      EXPECT_EQ(sample->pop_shards, k);
+      sample->wall_seconds = 0.0;
+      sample->pop_shards = 0;
+      std::ostringstream normalized;
+      obs::StatsWriter(&normalized).Write(*sample);
+      lines.push_back(normalized.str());
+    }
+    if (reference.empty()) {
+      // Enough samples that mid-run barriers are covered, not only the
+      // closing record.
+      ASSERT_GT(lines.size(), 3u);
+      reference = lines;
+      continue;
+    }
+    ASSERT_EQ(lines.size(), reference.size()) << "shards=" << k;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(lines[i], reference[i]) << "shards=" << k << " line " << i;
     }
   }
 }

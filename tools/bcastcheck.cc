@@ -53,8 +53,9 @@
 //       extras anchor the comparison as static points.
 //
 //   bcastcheck --bench new.json --bench_baseline old.json
-//       diff two google-benchmark JSON files (--benchmark_out format);
-//       time regressions beyond --bench_tolerance fail unless
+//       diff two google-benchmark JSON files (--benchmark_out format) on
+//       both cpu_time and real_time; time regressions beyond
+//       --bench_tolerance fail unless
 //       --bench_informational records them without gating.
 
 #include <filesystem>
