@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 
 #include "common/table.h"
 #include "obs/json_util.h"
@@ -106,6 +107,7 @@ BaselineDiff CompareReports(const obs::RunReport& baseline,
   require_identity("tool", baseline.tool, actual.tool);
   require_identity("mode", baseline.mode, actual.mode);
   require_identity("config", baseline.config, actual.config);
+  require_identity("optimizer", baseline.optimizer, actual.optimizer);
   require_identity("seed", std::to_string(baseline.seed),
                    std::to_string(actual.seed));
   require_identity("seeds", std::to_string(baseline.seeds),
@@ -157,6 +159,34 @@ BaselineDiff CompareReports(const obs::RunReport& baseline,
   differ.Relative("throughput.events_per_second",
                   baseline.events_per_second, actual.events_per_second,
                   options.throughput, !options.check_throughput);
+  // Extras: a key on one side only is a report of another shape.
+  // Integral values (counts, knobs) are held exact, the others within
+  // `perf`; the DES profile's `*_cpu_ns` wall clock is held like
+  // throughput.
+  const std::map<std::string, double> base(baseline.extra.begin(),
+                                           baseline.extra.end());
+  const std::map<std::string, double> act(actual.extra.begin(),
+                                          actual.extra.end());
+  for (const auto& [key, value] : act) {
+    if (base.count(key) == 0) {
+      diff.structural_mismatches.push_back("extra " + key +
+                                           " not in baseline");
+    }
+  }
+  for (const auto& [key, value] : baseline.extra) {
+    const auto it = act.find(key);
+    if (it == act.end()) {
+      diff.structural_mismatches.push_back("extra " + key +
+                                           " missing from actual");
+    } else if (key.ends_with("_cpu_ns")) {
+      differ.Relative("extra." + key, value, it->second, options.throughput,
+                      !options.check_throughput);
+    } else if (value == std::floor(value)) {
+      differ.Exact("extra." + key, value, it->second);
+    } else {
+      differ.Relative("extra." + key, value, it->second, options.perf);
+    }
+  }
   return diff;
 }
 
@@ -229,6 +259,7 @@ Result<std::string> FindBaselineFile(const obs::RunReport& report,
     if (!candidate.ok()) continue;  // not a run report; skip
     if (candidate->tool == report.tool && candidate->mode == report.mode &&
         candidate->config == report.config &&
+        candidate->optimizer == report.optimizer &&
         candidate->seed == report.seed &&
         candidate->seeds == report.seeds) {
       return path;

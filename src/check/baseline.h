@@ -8,7 +8,9 @@
 /// tuning percentiles, means) within a relative tolerance (default 3%,
 /// slack for histogram-bucket boundary effects); wall-clock throughput
 /// (`slots_per_second`) within its own tolerance, comparable only between
-/// runs on the same machine and therefore separately skippable. Every
+/// runs on the same machine and therefore separately skippable. Extras
+/// are gated too: the same keys on both sides, integral values exact,
+/// the others within the distribution tolerance. Every
 /// comparison is recorded as a `DiffEntry` so CI can upload the full diff
 /// as an artifact whether or not the gate trips.
 
@@ -60,7 +62,8 @@ struct BaselineDiff {
   std::vector<DiffEntry> entries;
 
   /// Non-metric mismatches (different config strings, disk-count
-  /// mismatch); any entry here fails the diff.
+  /// mismatch, extra keys on one side only); any entry here fails the
+  /// diff.
   std::vector<std::string> structural_mismatches;
 
   bool ok() const;
@@ -68,9 +71,10 @@ struct BaselineDiff {
 };
 
 /// \brief Compares \p actual against \p baseline. Identity fields (tool,
-/// mode, config, seed, seeds) must match exactly — comparing reports of
-/// different experiments is reported as a structural mismatch, not a
-/// metric regression.
+/// mode, config, optimizer, seed, seeds) must match exactly — comparing
+/// reports of different experiments is reported as a structural
+/// mismatch, not a metric regression — and so must the set of extra
+/// keys.
 BaselineDiff CompareReports(const obs::RunReport& baseline,
                             const obs::RunReport& actual,
                             const ToleranceOptions& options = {});
@@ -83,7 +87,7 @@ void PrintDiff(const BaselineDiff& diff, std::ostream& out);
 void WriteDiffJson(const BaselineDiff& diff, std::ostream& out);
 
 /// \brief Finds the baseline report in directory \p dir (non-recursive,
-/// `*.json`) whose tool/mode/config/seed/seeds identity matches
+/// `*.json`) whose tool/mode/config/optimizer/seed/seeds identity matches
 /// \p report. NotFound when no file matches; parse failures of unrelated
 /// files in the directory are skipped.
 Result<std::string> FindBaselineFile(const obs::RunReport& report,

@@ -33,6 +33,7 @@ obs::RunReport GoldenReport() {
   report.events_dispatched = 27100;
   report.slots_per_second = 3.2e9;
   report.events_per_second = 9.4e6;
+  report.extra = {{"stale_hits", 4811.0}, {"stale_fraction", 0.24055}};
   return report;
 }
 
@@ -152,6 +153,69 @@ TEST(CompareReportsTest, DiskCountMismatchIsStructural) {
   const BaselineDiff diff = CompareReports(golden, actual);
   EXPECT_FALSE(diff.ok());
   EXPECT_FALSE(diff.structural_mismatches.empty());
+}
+
+TEST(CompareReportsTest, DifferentOptimizerIsStructuralMismatch) {
+  const obs::RunReport golden = GoldenReport();
+  obs::RunReport actual = golden;
+  actual.optimizer = "delta";
+  const BaselineDiff diff = CompareReports(golden, actual);
+  EXPECT_FALSE(diff.ok());
+  EXPECT_EQ(diff.structural_mismatches.size(), 1u);
+}
+
+TEST(CompareReportsTest, IntegralExtrasAreExact) {
+  const obs::RunReport golden = GoldenReport();
+  obs::RunReport actual = golden;
+  actual.extra[0].second += 1.0;
+  const BaselineDiff diff = CompareReports(golden, actual);
+  EXPECT_FALSE(diff.ok());
+  const DiffEntry* entry = FindEntry(diff, "extra.stale_hits");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->ok);
+  EXPECT_EQ(entry->tolerance, 0.0);
+}
+
+TEST(CompareReportsTest, FractionalExtrasUsePerfTolerance) {
+  const obs::RunReport golden = GoldenReport();
+  obs::RunReport actual = golden;
+  actual.extra[1].second *= 1.01;  // within 3%
+  EXPECT_TRUE(CompareReports(golden, actual).ok());
+  actual.extra[1].second = golden.extra[1].second * 1.05;
+  const BaselineDiff diff = CompareReports(golden, actual);
+  EXPECT_FALSE(diff.ok());
+  const DiffEntry* entry = FindEntry(diff, "extra.stale_fraction");
+  ASSERT_NE(entry, nullptr);
+  EXPECT_FALSE(entry->ok);
+}
+
+TEST(CompareReportsTest, MissingExtraIsStructural) {
+  const obs::RunReport golden = GoldenReport();
+  obs::RunReport actual = golden;
+  actual.extra.pop_back();
+  const BaselineDiff diff = CompareReports(golden, actual);
+  EXPECT_FALSE(diff.ok());
+  EXPECT_EQ(diff.structural_mismatches.size(), 1u);
+}
+
+TEST(CompareReportsTest, AddedExtraIsStructural) {
+  const obs::RunReport golden = GoldenReport();
+  obs::RunReport actual = golden;
+  actual.extra.emplace_back("client0_hit_rate", 0.7);
+  const BaselineDiff diff = CompareReports(golden, actual);
+  EXPECT_FALSE(diff.ok());
+  EXPECT_EQ(diff.structural_mismatches.size(), 1u);
+}
+
+TEST(CompareReportsTest, ProfileWallClockExtrasFollowThroughput) {
+  obs::RunReport golden = GoldenReport();
+  golden.extra.emplace_back("profile_total_cpu_ns", 1000.0);
+  obs::RunReport actual = golden;
+  actual.extra.back().second = 2000.0;
+  EXPECT_FALSE(CompareReports(golden, actual).ok());
+  ToleranceOptions options;
+  options.check_throughput = false;
+  EXPECT_TRUE(CompareReports(golden, actual, options).ok());
 }
 
 TEST(CompareReportsTest, DiffJsonSerializes) {

@@ -11,8 +11,9 @@
 //
 //   bcastcheck --report build/report.json --baseline tests/baselines/
 //       additionally diff the report against the matching golden baseline
-//       (matched by tool/mode/config/seed) with per-metric tolerances:
-//       exact for counts, --perf_tolerance for percentiles,
+//       (matched by tool/mode/config/optimizer/seed) with per-metric
+//       tolerances: exact for counts and integral extras,
+//       --perf_tolerance for percentiles and the other extras,
 //       --throughput_tolerance for slots/sec. Baselines recorded on a
 //       different machine: add --skip_throughput. --diff_out writes the
 //       full diff as JSON (the CI artifact).
