@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/updates.h"
 #include "obs/timeline.h"
 #include "pull/pull_client.h"
 
@@ -77,79 +78,60 @@ des::Process Client::Run() {
       obs::track::Client(config_.client_id);
   BCAST_TIMELINE(timeline, BeginSpan(tl_track, "warmup", "phase",
                                      sim_->Now()));
-  // Warm-up: run unrecorded requests until the cache is full. The target
+  // Warm-up runs unrecorded requests until the cache is full. The target
   // is capped by the access range (the cache can never hold more distinct
   // pages than the client requests) and by a request budget.
   const uint64_t fill_target =
       std::min<uint64_t>(cache_->capacity(), gen_->access_range());
-  while (cache_->size() < fill_target &&
-         warmup_requests_ < config_.max_warmup_requests) {
+  UpdateModel* const updates = config_.updates;
+  bool warming = true;
+  uint64_t measured = 0;
+  while (true) {
+    // The phase latches: a cold restart that empties the cache mid-run
+    // does not reopen warm-up. (Channel-level delivery stats are shared
+    // across clients and are NOT reset here; per-client accounting lives
+    // in metrics_.)
+    if (warming && (cache_->size() >= fill_target ||
+                    warmup_requests_ >= config_.max_warmup_requests)) {
+      warming = false;
+      warmup_wall_seconds_ = phase_watch.ElapsedSeconds();
+      phase_watch.Restart();
+      BCAST_TIMELINE(timeline, EndSpan(tl_track, sim_->Now()));
+      BCAST_TIMELINE(timeline, BeginSpan(tl_track, "measured", "phase",
+                                         sim_->Now()));
+    }
+    if (!warming && measured == config_.measured_requests) break;
     if (config_.receiver != nullptr) {
       // A crash during think time surfaces here: apply its state loss
       // and, if the client is still down, sleep until the restart.
       const double up_at = config_.receiver->CrashResume(sim_->Now());
       if (up_at > sim_->Now()) co_await sim_->Delay(up_at - sim_->Now());
     }
-    ++warmup_requests_;
+    if (updates != nullptr) {
+      const double nap = updates->NapDue(sim_->Now());
+      if (nap > 0.0) co_await sim_->Delay(nap);
+    }
+    ++(warming ? warmup_requests_ : measured);
     const PageId logical = gen_->NextPage();
     const bool sampled = config_.trace && config_.trace->ShouldSample();
     const double start = sim_->Now();
-    if (!cache_->Lookup(logical, start)) {
-      const PageId physical = mapping_->ToPhysical(logical);
-      if (config_.access != nullptr) config_.access->OnFetch(physical);
-      if (config_.pull != nullptr) {
-        config_.pull->MaybeRequest(
-            physical, start,
-            channel_->NextArrivalStart(physical) + 1.0 - start);
-      }
-      co_await channel_->WaitForPage(physical, config_.receiver);
-      cache_->Insert(logical, sim_->Now());
-      if (config_.pull != nullptr) {
-        const DiskIndex disk = channel_->program().DiskOf(physical);
-        config_.pull->OnFetchDone(
-            physical, sim_->Now(), sim_->Now() - start,
-            channel_->last_wait_via_pull(), /*measured=*/false,
-            IsColdDisk(disk));
+    const bool hit = cache_->Lookup(logical, start);
+    // A hit on a copy the update model knows is stale is re-fetched.
+    const bool refetch =
+        hit && updates != nullptr &&
+        updates->MustRefetch(logical, start, /*measured=*/!warming);
+    if (hit && !refetch) {
+      if (!warming) {
+        metrics_.RecordHit(0.0);
+        metrics_.RecordTuning(0.0);
+        if (config_.cold_pages != nullptr &&
+            (*config_.cold_pages)[mapping_->ToPhysical(logical)]) {
+          ++cold_requests_;
+          ++cold_hits_;
+        }
       }
       if (sampled) {
-        TraceRequest(start, logical, /*hit=*/false, /*warmup=*/true,
-                     sim_->Now() - start,
-                     static_cast<int32_t>(
-                         channel_->program().DiskOf(physical)));
-      }
-    } else if (sampled) {
-      TraceRequest(start, logical, /*hit=*/true, /*warmup=*/true, 0.0, -1);
-    }
-    co_await sim_->Delay(gen_->NextThinkTime());
-  }
-  warmup_wall_seconds_ = phase_watch.ElapsedSeconds();
-  phase_watch.Restart();
-  BCAST_TIMELINE(timeline, EndSpan(tl_track, sim_->Now()));
-  BCAST_TIMELINE(timeline, BeginSpan(tl_track, "measured", "phase",
-                                     sim_->Now()));
-
-  // Measured phase. (Channel-level delivery stats are shared across
-  // clients and are NOT reset here; per-client accounting lives in
-  // metrics_.)
-  for (uint64_t i = 0; i < config_.measured_requests; ++i) {
-    if (config_.receiver != nullptr) {
-      const double up_at = config_.receiver->CrashResume(sim_->Now());
-      if (up_at > sim_->Now()) co_await sim_->Delay(up_at - sim_->Now());
-    }
-    const PageId logical = gen_->NextPage();
-    const bool sampled = config_.trace && config_.trace->ShouldSample();
-    const double start = sim_->Now();
-    if (cache_->Lookup(logical, start)) {
-      metrics_.RecordHit(0.0);
-      metrics_.RecordTuning(0.0);
-      if (config_.cold_pages != nullptr &&
-          (*config_.cold_pages)[mapping_->ToPhysical(logical)]) {
-        ++cold_requests_;
-        ++cold_hits_;
-      }
-      if (sampled) {
-        TraceRequest(start, logical, /*hit=*/true, /*warmup=*/false, 0.0,
-                     -1);
+        TraceRequest(start, logical, /*hit=*/true, warming, 0.0, -1);
       }
     } else {
       const PageId physical = mapping_->ToPhysical(logical);
@@ -161,37 +143,45 @@ des::Process Client::Run() {
       }
       co_await channel_->WaitForPage(physical, config_.receiver);
       const double wait = sim_->Now() - start;
-      cache_->Insert(logical, sim_->Now());
+      // A re-fetched page is still cached; only its content is renewed.
+      if (!refetch) cache_->Insert(logical, sim_->Now());
+      if (updates != nullptr) {
+        updates->OnFetched(logical, sim_->Now(), refetch, !warming);
+      }
       const DiskIndex disk = channel_->program().DiskOf(physical);
       if (config_.pull != nullptr) {
         config_.pull->OnFetchDone(physical, sim_->Now(), wait,
                                   channel_->last_wait_via_pull(),
-                                  /*measured=*/true, IsColdDisk(disk));
+                                  /*measured=*/!warming, IsColdDisk(disk));
       }
-      metrics_.RecordMiss(wait, disk);
-      BCAST_TIMELINE(timeline,
-                     Span(tl_track, "miss_wait", "client", start, wait,
-                          {{"page", static_cast<double>(logical)},
-                           {"disk", static_cast<double>(disk)}}));
-      if (config_.cold_pages != nullptr && (*config_.cold_pages)[physical]) {
-        ++cold_requests_;
-        if (config_.cold_wait != nullptr) config_.cold_wait->Add(wait);
-      }
-      // Radio accounting: with a known schedule the client sleeps until
-      // the page's slot and listens one slot per reception attempt;
-      // otherwise the radio is on for the whole wait, minus any backoff
-      // or doze time the receiver spent with the radio off.
-      if (config_.receiver != nullptr) {
-        metrics_.RecordTuning(
-            config_.knows_schedule
-                ? static_cast<double>(config_.receiver->last_wait_attempts())
-                : std::max(0.0,
-                           wait - config_.receiver->last_wait_radio_off()));
-      } else {
-        metrics_.RecordTuning(config_.knows_schedule ? 1.0 : wait);
+      if (!warming) {
+        metrics_.RecordMiss(wait, disk);
+        BCAST_TIMELINE(timeline,
+                       Span(tl_track, "miss_wait", "client", start, wait,
+                            {{"page", static_cast<double>(logical)},
+                             {"disk", static_cast<double>(disk)}}));
+        if (config_.cold_pages != nullptr &&
+            (*config_.cold_pages)[physical]) {
+          ++cold_requests_;
+          if (config_.cold_wait != nullptr) config_.cold_wait->Add(wait);
+        }
+        // Radio accounting: with a known schedule the client sleeps until
+        // the page's slot and listens one slot per reception attempt;
+        // otherwise the radio is on for the whole wait, minus any backoff
+        // or doze time the receiver spent with the radio off.
+        if (config_.receiver != nullptr) {
+          metrics_.RecordTuning(
+              config_.knows_schedule
+                  ? static_cast<double>(
+                        config_.receiver->last_wait_attempts())
+                  : std::max(0.0, wait - config_.receiver
+                                             ->last_wait_radio_off()));
+        } else {
+          metrics_.RecordTuning(config_.knows_schedule ? 1.0 : wait);
+        }
       }
       if (sampled) {
-        TraceRequest(start, logical, /*hit=*/false, /*warmup=*/false, wait,
+        TraceRequest(start, logical, /*hit=*/false, warming, wait,
                      static_cast<int32_t>(disk));
       }
     }

@@ -7,8 +7,9 @@
 /// policy; finally "think" for ThinkTime broadcast units and repeat.
 ///
 /// Measurement protocol (Section 5): warm-up runs until the cache is full
-/// (bounded by a safety cap), statistics are then reset and exactly
-/// `measured_requests` further requests are recorded.
+/// (bounded by a safety cap), then exactly `measured_requests` further
+/// requests are recorded. The phase latches: once measurement starts, a
+/// cache emptied by a cold crash restart does not reopen warm-up.
 
 #ifndef BCAST_CLIENT_CLIENT_H_
 #define BCAST_CLIENT_CLIENT_H_
@@ -30,6 +31,8 @@
 #include "obs/trace.h"
 
 namespace bcast {
+
+class UpdateModel;
 
 namespace pull {
 class PullClient;
@@ -70,6 +73,13 @@ struct ClientRunConfig {
   /// its physical page, feeding `--adapt_reopt`'s measured-frequency
   /// re-seating. nullptr — the default — adds no per-miss work.
   adapt::AccessMonitor* access = nullptr;
+
+  /// Optional update model (unowned; must outlive the run), attached by
+  /// updates mode. When set, it may nap the client before a request,
+  /// turns a hit on a known-stale copy into a re-fetch (served like a
+  /// miss, without a cache insert) and hears of every completed fetch.
+  /// nullptr — the default — serves every hit from the cache.
+  UpdateModel* updates = nullptr;
 
   /// Optional cold-page set, indexed by *physical* page and pinned to
   /// the initial program (unowned; must outlive the run). When set, the

@@ -20,6 +20,7 @@
 #include "common/string_util.h"
 #include "common/zipf.h"
 #include "core/multi_client.h"
+#include "core/updates.h"
 #include "des/simulation.h"
 #include "fault/fault_model.h"
 #include "fault/process_faults.h"
@@ -276,6 +277,10 @@ Status BuildClientWorld(const WorldShared& shared, ClientInputs in,
   config.receiver = out->receiver.get();
   config.pull = out->pull.get();
   config.access = in.access;
+  config.updates = in.updates;
+  if (in.updates != nullptr) {
+    in.updates->Attach(out->cache.get(), out->mapping.get(), shared.program);
+  }
   config.client_id = static_cast<uint32_t>(in.id);
   if (shared.cold_pages != nullptr && !shared.cold_pages->empty()) {
     config.cold_pages = shared.cold_pages;
@@ -292,7 +297,8 @@ Result<SimResult> RunSimulation(const SimParams& params) {
 }
 
 Result<SimResult> RunSimulation(const SimParams& params,
-                                const SimObservers& observers) {
+                                const SimObservers& observers,
+                                UpdateModel* updates) {
   SimResult result;
   obs::Stopwatch total_watch;
 
@@ -366,6 +372,7 @@ Result<SimResult> RunSimulation(const SimParams& params,
   inputs.noise_destination = params.noise_destination;
   inputs.knows_schedule = params.knows_schedule;
   inputs.access = server.access.get();
+  inputs.updates = updates;
   ClientWorld world;
   BCAST_RETURN_IF_ERROR(BuildClientWorld(shared, std::move(inputs), &world));
   const Client& client = *world.client;

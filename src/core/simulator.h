@@ -4,8 +4,9 @@
 ///
 /// `BuildSchedule`, `BuildServerWorld` and `BuildClientWorld` are the one
 /// place a run's schedule, its server side and a client's world are
-/// built; the single, updates and population runners and the analytic
-/// model call them. A single run is a population of one there
+/// built; the single-client run (`RunSimulation`, which updates mode
+/// also runs on), the population engine and the analytic model call them.
+/// A single run is a population of one there
 /// (`PopulationFromSimParams(params, 1)`, client 0), and what it does
 /// differently is passed in as data.
 
@@ -50,6 +51,7 @@ namespace bcast {
 
 struct ClientSpec;
 struct MultiClientParams;
+class UpdateModel;
 
 namespace internal {
 /// Named RNG sub-streams shared by every runner (simulator, analytic
@@ -259,11 +261,13 @@ struct ClientInputs {
   obs::LogHistogram* cold_wait = nullptr;
 
   /// Read only by single mode: Noise's destination rule, schedule
-  /// knowledge (tuning metric only) and the `--adapt_reopt` monitor.
+  /// knowledge (tuning metric only), the `--adapt_reopt` monitor and the
+  /// updates-mode model (attached to the built client).
   NoiseModel::Destination noise_destination =
       NoiseModel::Destination::kUniformDisk;
   bool knows_schedule = false;
   adapt::AccessMonitor* access = nullptr;
+  UpdateModel* updates = nullptr;
 };
 
 /// \brief The nominal per-page access probabilities the server designs
@@ -373,8 +377,9 @@ class VersionTicker {
 
 /// \brief Builds the parts of client `in.id` that need no simulation —
 /// mapping, access generator, catalog, cache and (active faults)
-/// receiver — for the updates runner and the analytic model. Reads `params`, `layout`, `program` and, when set, `hybrid`
-/// and `timeline` of \p shared, and `server_faults`/`loss_sink` of \p in.
+/// receiver — for `BuildClientWorld` and the analytic model. Reads
+/// `params`, `layout`, `program` and, when set, `hybrid` and `timeline`
+/// of \p shared, and `server_faults`/`loss_sink` of \p in.
 Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
                         ClientWorld* out);
 
@@ -387,9 +392,11 @@ Status BuildClientWorld(const WorldShared& shared, ClientInputs in,
 /// (observability hooks never touch simulation randomness).
 Result<SimResult> RunSimulation(const SimParams& params);
 
-/// \brief Same, with observability hooks attached.
+/// \brief Same, with observability hooks attached and, for updates mode,
+/// \p updates riding on the client (`ClientRunConfig::updates`).
 Result<SimResult> RunSimulation(const SimParams& params,
-                                const SimObservers& observers);
+                                const SimObservers& observers,
+                                UpdateModel* updates = nullptr);
 
 /// \brief Renders one run as a machine-readable report: params, program
 /// geometry, response/tuning percentiles, per-disk service counts, and

@@ -3,20 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
+#include <utility>
 
-#include "broadcast/channel.h"
 #include "common/logging.h"
 #include "common/zipf.h"
-#include "core/multi_client.h"
 #include "core/simulator.h"
-#include "des/simulation.h"
-#include "obs/stopwatch.h"
 
 namespace bcast {
 
-using internal::kNoiseStream;
-using internal::kRequestStream;
 using internal::kUpdateStream;
 
 Result<UpdateTracker> UpdateTracker::Make(PageId num_pages,
@@ -60,183 +54,92 @@ double UpdateTracker::LastUpdateBefore(PageId page, double now) {
                           : clock.last;
 }
 
-namespace {
+UpdateModel::UpdateModel(const UpdateParams& params, UpdateTracker tracker)
+    : params_(params),
+      tracker_(std::move(tracker)),
+      next_sleep_(params.awake_for > 0.0 && params.sleep_for > 0.0
+                      ? params.awake_for
+                      : std::numeric_limits<double>::infinity()),
+      distrust_before_(-std::numeric_limits<double>::infinity()) {}
 
-// The volatile-data client: the Section-4.1 loop plus staleness handling.
-// Structured as a plain struct of state driven by one coroutine so the
-// whole run stays deterministic and allocation-light.
-struct VolatileClient {
-  des::Simulation* sim;
-  BroadcastChannel* channel;
-  CachePolicy* cache;
-  RequestSource* gen;
-  const Mapping* mapping;
-  UpdateTracker* updates;
-  fault::Receiver* receiver;  // null when faults are off
-  ConsistencyAction action;
-  uint64_t measured_requests;
-  uint64_t max_warmup_requests;
-  double awake_for;
-  double sleep_for;
-  uint64_t window_cycles;
+void UpdateModel::Attach(const CachePolicy* cache, const Mapping* mapping,
+                         const BroadcastProgram* program) {
+  cache_ = cache;
+  mapping_ = mapping;
+  program_ = program;
+  content_time_.assign(cache->num_pages(),
+                       -std::numeric_limits<double>::infinity());
+}
 
-  // Per-logical-page freshness time: when the cached copy's content was
-  // current (fetch completion, or last on-air refresh under kAutoRefresh).
-  // Spans the cache's page space, [0, access_range).
-  std::vector<double> content_time;
-
-  UpdateSimResult result;
-  RunningStat response;
-  bool finished = false;
-
-  // Disconnection state.
-  double next_sleep = 0.0;
-  double last_reconnect = 0.0;
-  double distrust_before = -std::numeric_limits<double>::infinity();
-
-  // Response-time distribution of the measured phase.
-  obs::LogHistogram response_hist;
-
-  void RecordResponse(double slots) {
-    response.Add(slots);
-    response_hist.Add(slots);
+double UpdateModel::LastBroadcastEnd(PageId physical, double window_start,
+                                     double to) const {
+  double probe = std::max(window_start, to - Period());
+  if (probe < 0.0) probe = 0.0;
+  double end = program_->NextArrivalEnd(physical, probe);
+  double last = -std::numeric_limits<double>::infinity();
+  while (end <= to) {
+    last = end;
+    end = program_->NextArrivalEnd(physical, end);
   }
+  return last;
+}
 
-  double Period() const {
-    return static_cast<double>(channel->program().period());
-  }
-
-  double PeriodStart(double now) const {
-    return std::floor(now / Period()) * Period();
-  }
-
-  // Last completed broadcast of `physical` within (window_start, to],
-  // or -inf if none.
-  double LastBroadcastEnd(PageId physical, double window_start,
-                          double to) const {
-    double probe = std::max(window_start, to - Period());
-    if (probe < 0.0) probe = 0.0;
-    double end = channel->program().NextArrivalEnd(physical, probe);
-    double last = -std::numeric_limits<double>::infinity();
-    while (end <= to) {
-      last = end;
-      end = channel->program().NextArrivalEnd(physical, end);
-    }
-    return last;
-  }
-
-  // Refresh point of a cached page under kAutoRefresh: the radio picks a
-  // cached page up every time it passes *while the client is awake*, so
-  // its content is as fresh as its most recent completed broadcast in the
-  // current awake window (refreshes from earlier windows were committed
-  // into content_time before each nap).
-  double EffectiveContentTime(PageId logical, double now) const {
-    const double t = content_time[logical];
-    if (action != ConsistencyAction::kAutoRefresh) return t;
-    const PageId physical = mapping->ToPhysical(logical);
-    return std::max(t, LastBroadcastEnd(physical, last_reconnect, now));
-  }
-
-  // Before sleeping, bank the passive refreshes of the ending awake
-  // window so they are not lost once last_reconnect moves forward.
-  void CommitRefreshes(double window_start, double window_end) {
-    for (PageId l = 0; l < cache->num_pages(); ++l) {
-      if (!cache->Contains(l)) continue;
-      const double last = LastBroadcastEnd(mapping->ToPhysical(l),
-                                           window_start, window_end);
-      if (last > content_time[l]) content_time[l] = last;
+double UpdateModel::NapDue(double now) {
+  if (now < next_sleep_) return 0.0;
+  if (params_.action == ConsistencyAction::kAutoRefresh) {
+    // Bank the passive refreshes of the ending awake window before the
+    // reconnect point moves past it.
+    for (PageId l = 0; l < cache_->num_pages(); ++l) {
+      if (!cache_->Contains(l)) continue;
+      const double last = LastBroadcastEnd(mapping_->ToPhysical(l),
+                                           last_reconnect_, now);
+      if (last > content_time_[l]) content_time_[l] = last;
     }
   }
-
-  des::Process Run() {
-    const uint64_t fill_target =
-        std::min<uint64_t>(cache->capacity(), gen->access_range());
-    const bool naps_enabled = awake_for > 0.0 && sleep_for > 0.0;
-    next_sleep = awake_for;
-    uint64_t warmed = 0;
-    uint64_t measured = 0;
-    while (measured < measured_requests) {
-      if (naps_enabled && sim->Now() >= next_sleep) {
-        if (action == ConsistencyAction::kAutoRefresh) {
-          CommitRefreshes(last_reconnect, sim->Now());
-        }
-        co_await sim->Delay(sleep_for);
-        ++result.naps;
-        last_reconnect = sim->Now();
-        next_sleep = last_reconnect + awake_for;
-        if (action == ConsistencyAction::kInvalidate &&
-            window_cycles > 0 &&
-            sleep_for > static_cast<double>(window_cycles) * Period()) {
-          // Slept past the server's invalidation history: nothing cached
-          // before this instant can be verified anymore.
-          distrust_before = last_reconnect;
-          ++result.distrust_purges;
-        }
-      }
-      const bool warming =
-          cache->size() < fill_target && warmed < max_warmup_requests;
-      const bool record = !warming;
-      if (warming) ++warmed;
-
-      const PageId logical = gen->NextPage();
-      const double start = sim->Now();
-      const PageId physical = mapping->ToPhysical(logical);
-
-      bool needs_fetch = false;
-      bool counted_refetch = false;
-      if (cache->Lookup(logical, start)) {
-        const double have = EffectiveContentTime(logical, start);
-        const double updated = updates->LastUpdateBefore(physical, start);
-        const bool distrusted = have < distrust_before;
-        if (!distrusted && updated <= have) {
-          if (record) {
-            ++result.fresh_hits;
-            RecordResponse(0.0);
-          }
-        } else if (action == ConsistencyAction::kInvalidate &&
-                   (distrusted || updated < PeriodStart(start))) {
-          // Either the stale copy was announced in an earlier cycle's
-          // invalidation list, or the client slept past the window and
-          // cannot trust the copy at all: re-fetch.
-          needs_fetch = true;
-          counted_refetch = true;
-        } else {
-          // Either no consistency action, or the update is too recent to
-          // be known: served stale.
-          if (record) {
-            ++result.stale_hits;
-            RecordResponse(0.0);
-          }
-        }
-      } else {
-        needs_fetch = true;
-      }
-
-      if (needs_fetch) {
-        co_await channel->WaitForPage(physical, receiver);
-        const double now = sim->Now();
-        if (!cache->Contains(logical)) cache->Insert(logical, now);
-        if (cache->Contains(logical)) content_time[logical] = now;
-        if (record) {
-          if (counted_refetch) {
-            ++result.invalidation_refetches;
-          } else {
-            ++result.cold_misses;
-          }
-          RecordResponse(now - start);
-        }
-      }
-      if (record) {
-        ++result.requests;
-        ++measured;
-      }
-      co_await sim->Delay(gen->NextThinkTime());
-    }
-    finished = true;
+  ++naps_;
+  last_reconnect_ = now + params_.sleep_for;
+  next_sleep_ = last_reconnect_ + params_.awake_for;
+  if (params_.action == ConsistencyAction::kInvalidate &&
+      params_.invalidation_window_cycles > 0 &&
+      params_.sleep_for >
+          static_cast<double>(params_.invalidation_window_cycles) *
+              Period()) {
+    // Slept past the server's invalidation history: nothing cached
+    // before the reconnect can be verified anymore.
+    distrust_before_ = last_reconnect_;
+    ++distrust_purges_;
   }
-};
+  return params_.sleep_for;
+}
 
-}  // namespace
+bool UpdateModel::MustRefetch(PageId logical, double now, bool measured) {
+  const PageId physical = mapping_->ToPhysical(logical);
+  double have = content_time_[logical];
+  if (params_.action == ConsistencyAction::kAutoRefresh) {
+    // The radio picks a cached page up every time it passes while the
+    // client is awake, so the copy is as fresh as its latest completed
+    // broadcast in the current awake window.
+    have = std::max(have, LastBroadcastEnd(physical, last_reconnect_, now));
+  }
+  const double updated = tracker_.LastUpdateBefore(physical, now);
+  const bool distrusted = have < distrust_before_;
+  if (!distrusted && updated <= have) return false;
+  if (params_.action == ConsistencyAction::kInvalidate &&
+      (distrusted || updated < std::floor(now / Period()) * Period())) {
+    // Either an earlier cycle's invalidation list announced the stale
+    // copy, or the client slept past the window and cannot trust it.
+    return true;
+  }
+  // No consistency action, or an update too recent to be known.
+  if (measured) ++stale_hits_;
+  return false;
+}
+
+void UpdateModel::OnFetched(PageId logical, double now, bool refetch,
+                            bool measured) {
+  if (cache_->Contains(logical)) content_time_[logical] = now;
+  if (refetch && measured) ++refetches_;
+}
 
 Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
                                             const UpdateParams& updates) {
@@ -276,75 +179,34 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
         "zero (naps off)");
   }
 
-  // The server's schedule and the client's parts come from the same
-  // builders as a single run's: a population of one, client 0.
-  const MultiClientParams pop = PopulationFromSimParams(base, 1);
-  Result<ServerSchedule> schedule = BuildSchedule(base);
-  if (!schedule.ok()) return schedule.status();
-  const Rng master(base.seed);
-  WorldShared shared;
-  shared.params = &pop;
-  shared.layout = &schedule->layout;
-  shared.program = &schedule->program;
-  ClientInputs inputs;
-  inputs.noise_rng = master.Split(kNoiseStream);
-  inputs.request_rng = master.Split(kRequestStream);
-  inputs.noise_destination = base.noise_destination;
-  ClientWorld world;
-  BCAST_RETURN_IF_ERROR(BuildClientParts(shared, inputs, &world));
-
   Result<UpdateTracker> tracker = UpdateTracker::Make(
       static_cast<PageId>(base.ServerDbSize()), updates.update_rate,
-      updates.update_theta, master.Split(kUpdateStream));
+      updates.update_theta, Rng(base.seed).Split(kUpdateStream));
   if (!tracker.ok()) return tracker.status();
 
-  des::Simulation sim;
-  BroadcastChannel channel(&sim, &schedule->program);
-  // GCC 12 issues a spurious maybe-uninitialized for the value-initialized
-  // histogram vectors nested in `result` once the aggregate crosses an
-  // inlining threshold; every member below is explicitly initialized.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-  VolatileClient client{
-      &sim,
-      &channel,
-      world.cache.get(),
-      world.gen.get(),
-      world.mapping.get(),
-      &*tracker,
-      world.receiver.get(),
-      updates.action,
-      base.measured_requests,
-      base.max_warmup_requests,
-      updates.awake_for,
-      updates.sleep_for,
-      updates.invalidation_window_cycles,
-      std::vector<double>(world.cache->num_pages(),
-                          -std::numeric_limits<double>::infinity()),
-      {},
-      {},
-      false,
-      0.0,
-      0.0,
-      -std::numeric_limits<double>::infinity(),
-      obs::LogHistogram()};
-#pragma GCC diagnostic pop
-  obs::Stopwatch run_watch;
-  sim.Spawn(client.Run());
-  sim.Run();
-  BCAST_CHECK(client.finished) << "volatile client did not finish";
-
-  client.result.mean_response_time = client.response.mean();
-  client.result.response = client.response_hist.Summary();
-  client.result.wall_seconds = run_watch.ElapsedSeconds();
-  client.result.events_dispatched = sim.events_dispatched();
-  if (world.receiver != nullptr) {
-    client.result.faults = world.receiver->stats();
-    client.result.faults_active = true;
-  }
+  // The single-client run, with the update model riding on its client.
+  UpdateModel model(updates, std::move(*tracker));
+  Result<SimResult> run = RunSimulation(base, SimObservers{}, &model);
+  if (!run.ok()) return run.status();
+  const ClientMetrics& metrics = run->metrics;
+  UpdateSimResult result;
+  result.requests = metrics.requests();
+  result.stale_hits = model.stale_hits();
+  result.fresh_hits = metrics.cache_hits() - result.stale_hits;
+  result.invalidation_refetches = model.refetches();
+  result.cold_misses = metrics.misses() - result.invalidation_refetches;
+  result.naps = model.naps();
+  result.distrust_purges = model.distrust_purges();
+  result.mean_response_time = metrics.mean_response_time();
+  result.response = metrics.response_histogram().Summary();
+  result.wall_seconds =
+      run->timings.warmup_seconds + run->timings.measured_seconds;
+  result.events_dispatched = run->events_dispatched;
+  result.faults = run->faults;
+  result.faults_active = run->faults_active;
 
   if (registry != nullptr) {
-    const UpdateSimResult& r = client.result;
+    const UpdateSimResult& r = result;
     registry->GetCounter("updates/requests")->Increment(r.requests);
     registry->GetCounter("updates/fresh_hits")->Increment(r.fresh_hits);
     registry->GetCounter("updates/stale_hits")->Increment(r.stale_hits);
@@ -355,12 +217,12 @@ Result<UpdateSimResult> RunUpdateSimulation(const SimParams& base,
     registry->GetCounter("updates/distrust_purges")
         ->Increment(r.distrust_purges);
     registry->GetCounter("updates/generated")
-        ->Increment(tracker->updates_generated());
+        ->Increment(model.updates_generated());
     registry->GetCounter("updates/events")->Increment(r.events_dispatched);
     registry->GetHistogram("updates/response_slots")
-        ->Merge(client.response_hist);
+        ->Merge(metrics.response_histogram());
   }
-  return client.result;
+  return result;
 }
 
 obs::RunReport MakeUpdateRunReport(const SimParams& base,

@@ -24,6 +24,11 @@
 ///
 /// Staleness bookkeeping is exact but lazy: per-page Poisson update
 /// clocks are advanced only when a page is examined.
+///
+/// The update model rides on the single-client `Client`: an updates run
+/// is a single run (`RunSimulation`) whose client carries an
+/// `UpdateModel`, so both modes share one setup, one event loop and one
+/// request loop.
 
 #ifndef BCAST_CORE_UPDATES_H_
 #define BCAST_CORE_UPDATES_H_
@@ -33,6 +38,8 @@
 #include <vector>
 
 #include "broadcast/program.h"
+#include "cache/cache_policy.h"
+#include "client/mapping.h"
 #include "common/rng.h"
 #include "core/params.h"
 #include "fault/recovery.h"
@@ -113,6 +120,78 @@ class UpdateTracker {
   uint64_t updates_ = 0;
 };
 
+/// \brief Staleness on one client's cache: the update clocks, the
+/// consistency action and the disconnection model of `UpdateParams`. It
+/// runs no process of its own. The single-client `Client` consults it
+/// through `ClientRunConfig::updates`: before each request (naps), on
+/// each cache hit (fresh, stale or known stale) and after each fetch.
+class UpdateModel {
+ public:
+  UpdateModel(const UpdateParams& params, UpdateTracker tracker);
+
+  /// Binds the model to the client's cache, its logical-to-physical
+  /// mapping and the (static) program on the air; once, before the run.
+  /// All three must outlive the run.
+  void Attach(const CachePolicy* cache, const Mapping* mapping,
+              const BroadcastProgram* program);
+
+  /// The nap due at \p now: its length, or 0 when the client stays
+  /// awake. The nap ends at `now + length`; its bookkeeping (banked
+  /// auto-refreshes, the next nap, a distrust purge past the
+  /// invalidation window) is done here.
+  double NapDue(double now);
+
+  /// Judges a cache hit on \p logical at \p now. True when the copy is
+  /// known stale and must be re-fetched (kInvalidate); otherwise the hit
+  /// is served, and counted as stale when \p measured and the copy is.
+  bool MustRefetch(PageId logical, double now, bool measured);
+
+  /// A broadcast fetch of \p logical completed at \p now, so a cached
+  /// copy is current. \p refetch marks the re-fetch of a known-stale
+  /// hit, counted when \p measured.
+  void OnFetched(PageId logical, double now, bool refetch, bool measured);
+
+  /// Measured hits served stale, and measured known-stale re-fetches.
+  uint64_t stale_hits() const { return stale_hits_; }
+  uint64_t refetches() const { return refetches_; }
+
+  /// Naps taken, and naps past the invalidation window (whole run).
+  uint64_t naps() const { return naps_; }
+  uint64_t distrust_purges() const { return distrust_purges_; }
+
+  /// Updates the server generated so far.
+  uint64_t updates_generated() const { return tracker_.updates_generated(); }
+
+ private:
+  double Period() const { return static_cast<double>(program_->period()); }
+
+  /// Last completed broadcast of \p physical within (window_start, to],
+  /// or -infinity if none.
+  double LastBroadcastEnd(PageId physical, double window_start,
+                          double to) const;
+
+  UpdateParams params_;
+  UpdateTracker tracker_;
+  const CachePolicy* cache_ = nullptr;
+  const Mapping* mapping_ = nullptr;
+  const BroadcastProgram* program_ = nullptr;
+
+  // Per-logical-page freshness time: when the cached copy's content was
+  // current (fetch completion, or the last on-air refresh banked before a
+  // nap under kAutoRefresh). Spans the cache's page space.
+  std::vector<double> content_time_;
+
+  // Disconnection state.
+  double next_sleep_;
+  double last_reconnect_ = 0.0;
+  double distrust_before_;
+
+  uint64_t stale_hits_ = 0;
+  uint64_t refetches_ = 0;
+  uint64_t naps_ = 0;
+  uint64_t distrust_purges_ = 0;
+};
+
 /// \brief Metrics of one volatile-data run.
 struct UpdateSimResult {
   /// Requests measured.
@@ -144,7 +223,7 @@ struct UpdateSimResult {
   /// Response-time distribution over all measured requests (slots).
   obs::HistogramSummary response;
 
-  /// Wall-clock seconds spent in the event loop.
+  /// Wall-clock seconds of the client's warm-up and measured phases.
   double wall_seconds = 0.0;
 
   /// Events the DES kernel dispatched.
