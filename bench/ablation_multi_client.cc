@@ -43,8 +43,8 @@ void RunOne(bool cached) {
     auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
     BCAST_CHECK(result.ok()) << result.status().ToString();
     std::vector<std::string> row{std::to_string(delta)};
-    for (double rt : result->mean_response_times) {
-      row.push_back(FormatDouble(rt, 0));
+    for (const ClientMetrics& m : result->per_client) {
+      row.push_back(FormatDouble(m.mean_response_time(), 0));
     }
     row.push_back(FormatDouble(result->response_across_clients.mean(), 0));
     row.push_back(FormatDouble(result->response_across_clients.max() /

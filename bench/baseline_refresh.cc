@@ -247,8 +247,8 @@ int Run() {
                 << "\n";
       ++failures;
     } else {
-      obs::RunReport report = MakePopulationRunReport(
-          params, *result, base.ToString(), kTool);
+      obs::RunReport report =
+          MakeRunReport(params, *result, base.ToString(), kTool);
       if (!WriteReport(report, out_dir, "population_d5_3c",
                        result->response_across_clients.mean(),
                        kRequests)) {

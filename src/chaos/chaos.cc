@@ -272,28 +272,30 @@ ChaosScenario GenerateScenario(uint64_t chaos_seed, const ChaosAxes& axes) {
 
 namespace {
 
-// Runs a population scenario through the engine at \p shards and
-// renders its report (no pop extras: identity comparisons need bytes
-// that do not mention the execution layout).
-Result<obs::RunReport> RunPopulationScenario(const ChaosScenario& scenario,
-                                             uint64_t shards,
-                                             obs::TimelineWriter* timeline) {
+// Runs \p scenario — through the engine at \p shards when it has more
+// than one client — and renders its report (no pop extras: identity
+// comparisons need bytes that do not mention the execution layout).
+Result<obs::RunReport> RunScenarioReport(const ChaosScenario& scenario,
+                                         uint64_t shards,
+                                         obs::TimelineWriter* timeline) {
   // Every client shares the drawn workload shape with its interest
   // shifted around the database, exactly as bcastsim --mode=population
   // does.
   const MultiClientParams params =
       PopulationFromSimParams(scenario.params, scenario.clients);
-  pop::PopParams pp;
-  pp.clients = scenario.clients;
-  pp.shards = shards;
   SimObservers observers;
   observers.horizon = scenario.horizon;
   observers.timeline = timeline;
-  Result<MultiClientResult> result =
-      pop::RunPopulationSimulation(params, pp, observers);
+  pop::PopParams pp;
+  pp.clients = scenario.clients;
+  pp.shards = shards;
+  Result<SimResult> result =
+      scenario.clients > 1
+          ? pop::RunPopulationSimulation(params, pp, observers)
+          : RunSimulation(scenario.params, observers);
   if (!result.ok()) return result.status();
-  return MakePopulationRunReport(params, *result,
-                                 scenario.params.ToString(), "bcastchaos");
+  return MakeRunReport(params, *result, scenario.params.ToString(),
+                       "bcastchaos");
 }
 
 }  // namespace
@@ -302,30 +304,14 @@ ChaosOutcome RunScenario(const ChaosScenario& scenario,
                          const ReportMutator& mutate,
                          obs::TimelineWriter* timeline) {
   ChaosOutcome outcome;
-  if (scenario.clients > 1) {
-    Result<obs::RunReport> report =
-        RunPopulationScenario(scenario, scenario.shards, timeline);
-    if (!report.ok()) {
-      outcome.violations.push_back(
-          {"no_hang", report.status().ToString()});
-      return outcome;
-    }
-    outcome.completed = true;
-    outcome.report = std::move(*report);
-  } else {
-    SimObservers observers;
-    observers.horizon = scenario.horizon;
-    observers.timeline = timeline;
-    Result<SimResult> result = RunSimulation(scenario.params, observers);
-    if (!result.ok()) {
-      outcome.violations.push_back(
-          {"no_hang", result.status().ToString()});
-      return outcome;
-    }
-    outcome.completed = true;
-    outcome.report =
-        MakeRunReport(scenario.params, *result, "bcastchaos");
+  Result<obs::RunReport> run =
+      RunScenarioReport(scenario, scenario.shards, timeline);
+  if (!run.ok()) {
+    outcome.violations.push_back({"no_hang", run.status().ToString()});
+    return outcome;
   }
+  outcome.completed = true;
+  outcome.report = std::move(*run);
   if (mutate) mutate(&outcome.report);
   const obs::RunReport& report = outcome.report;
 
@@ -388,7 +374,7 @@ std::optional<ChaosViolation> CheckShardIdentity(
   const uint64_t shard_counts[2] = {scenario.shards, 1};
   for (int i = 0; i < 2; ++i) {
     Result<obs::RunReport> report =
-        RunPopulationScenario(scenario, shard_counts[i], nullptr);
+        RunScenarioReport(scenario, shard_counts[i], nullptr);
     if (!report.ok()) {
       return ChaosViolation{
           "shard_identity",

@@ -126,12 +126,12 @@ struct UplinkDraw {
 
 }  // namespace
 
-Result<MultiClientResult> RunPopulationSimulation(
+Result<SimResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop) {
   return RunPopulationSimulation(params, pop, SimObservers{});
 }
 
-Result<MultiClientResult> RunPopulationSimulation(
+Result<SimResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop,
     const SimObservers& observers) {
   obs::Stopwatch total_watch;
@@ -256,80 +256,43 @@ Result<MultiClientResult> RunPopulationSimulation(
   };
 
   // The population stats sampler: one snapshot aggregates every
-  // client's totals — the same view MakePopulationRunReport summarizes,
-  // so a stream summary reproduces the report's headline numbers. The
+  // client's totals — the same view MakeRunReport summarizes, so a
+  // stream summary reproduces the report's headline numbers. The
   // coordinator samples at round barriers on a fixed grid, so it adds no
   // DES events to any simulation.
   const bool stats_on = observers.stats != nullptr;
   const double stats_interval =
       stats_on ? std::max(observers.stats_interval, 1.0) : 0.0;
-  uint64_t stats_prev_requests = 0;
-  uint64_t stats_prev_hits = 0;
-  double stats_prev_rt_sum = 0.0;
+  StatsSampler sampler(observers.stats);
   std::vector<ClassProfile> stat_classes = pop.classes;
   if (stat_classes.empty()) stat_classes.push_back(ClassProfile{});
   auto take_stats_sample = [&](bool final_sample, double t) {
-    obs::StatsSample s;
-    s.t = t;
-    s.wall_seconds = observers.stats->ElapsedSeconds();
-    s.events = merged_events();
-    double rt_sum = 0.0;
     std::vector<std::optional<obs::LogHistogram>> class_rt(
         stat_classes.size());
     for (const auto& shard : shards) {
       for (uint64_t c = shard->begin(); c < shard->end(); ++c) {
         const ClientWorld& world = shard->world(c);
-        const ClientMetrics& m = world.client->metrics();
-        s.requests += m.requests();
-        s.hits += m.cache_hits();
-        s.warmup_requests += world.client->warmup_requests();
-        rt_sum += m.response_time().sum();
+        sampler.Add(world);
+        const obs::LogHistogram& rt =
+            world.client->metrics().response_histogram();
         const uint32_t k = store.class_of(c);
         if (!class_rt[k].has_value()) {
-          class_rt[k].emplace(m.response_histogram());
+          class_rt[k].emplace(rt);
         } else {
-          class_rt[k]->Merge(m.response_histogram());
-        }
-        const std::vector<uint64_t>& per_disk = m.served_per_disk();
-        if (s.served_per_disk.size() < per_disk.size()) {
-          s.served_per_disk.resize(per_disk.size(), 0);
-        }
-        for (size_t d = 0; d < per_disk.size(); ++d) {
-          s.served_per_disk[d] += per_disk[d];
-        }
-        if (world.receiver != nullptr) {
-          s.fault_lost += world.receiver->stats().lost;
-          s.fault_retries += world.receiver->stats().retries;
+          class_rt[k]->Merge(rt);
         }
       }
     }
-    s.mean_rt =
-        s.requests > 0 ? rt_sum / static_cast<double>(s.requests) : 0.0;
-    s.win_requests = s.requests - stats_prev_requests;
-    s.win_hits = s.hits - stats_prev_hits;
-    s.win_mean_rt = s.win_requests > 0
-                        ? (rt_sum - stats_prev_rt_sum) /
-                              static_cast<double>(s.win_requests)
-                        : 0.0;
-    if (pull_server != nullptr) {
-      s.pull_queue_depth = pull_server->queue_depth();
-      s.pull_serviced = pull_server->stats().serviced_pages;
-    }
+    obs::StatsSample s =
+        sampler.Take(t, merged_events(), pull_server, final_sample);
     s.pop_clients = n_clients;
     s.pop_shards = n_shards;
-    s.pop_req_rate = stats_interval > 0.0
-                         ? static_cast<double>(s.win_requests) /
-                               stats_interval
-                         : 0.0;
+    s.pop_req_rate = static_cast<double>(s.win_requests) / stats_interval;
     for (const auto& h : class_rt) {
       if (h.has_value()) {
         s.pop_worst_p99 = std::max(s.pop_worst_p99, h->Summary().p99);
       }
     }
-    s.final_sample = final_sample;
-    stats_prev_requests = s.requests;
-    stats_prev_hits = s.hits;
-    stats_prev_rt_sum = rt_sum;
     observers.stats->Write(s);
   };
 
@@ -508,8 +471,8 @@ Result<MultiClientResult> RunPopulationSimulation(
   // The exact end-of-run record, sampled while every client still holds
   // its metrics (the collection below moves them out).
   if (stats_on) take_stats_sample(true, end_time);
-  MultiClientResult result;
-  result.aggregate = ClientMetrics(program->num_disks());
+  SimResult result;
+  result.metrics = ClientMetrics(program->num_disks());
   result.per_client.reserve(n_clients);
   uint64_t version_bumps = 0;
   for (const auto& shard : shards) {
@@ -520,10 +483,10 @@ Result<MultiClientResult> RunPopulationSimulation(
           << "client " << c << " did not finish";
       const ClientMetrics& m =
           result.per_client.emplace_back(world.client->TakeMetrics());
-      result.aggregate.Merge(m);
-      const double mean = m.mean_response_time();
-      result.mean_response_times.push_back(mean);
-      result.response_across_clients.Add(mean);
+      result.metrics.Merge(m);
+      result.response_across_clients.Add(m.mean_response_time());
+      result.warmup_requests += world.client->warmup_requests();
+      result.perturbed_pages += world.mapping->PerturbedPages();
       if (world.receiver != nullptr) {
         result.faults.Merge(world.receiver->stats());
         result.faults_active = true;
@@ -552,6 +515,8 @@ Result<MultiClientResult> RunPopulationSimulation(
     result.adapt_active = true;
   }
   result.end_time = end_time;
+  result.period = program->period();
+  result.empty_slots = program->EmptySlots();
   result.events_dispatched = merged_events();
   result.predicted_delay = schedule->predicted_delay;
   if (observers.profile_des) {
@@ -563,11 +528,14 @@ Result<MultiClientResult> RunPopulationSimulation(
   }
   timings.total_seconds = total_watch.ElapsedSeconds();
   result.timings = timings;
+  if (observers.registry != nullptr) {
+    RecordRunMetrics(params, result, observers.registry);
+  }
   return result;
 }
 
 void AppendPopulationExtras(const PopParams& pop,
-                            const MultiClientResult& result,
+                            const SimResult& result,
                             obs::RunReport* report) {
   const uint64_t n = result.per_client.size();
   if (n == 0) return;
@@ -586,8 +554,8 @@ void AppendPopulationExtras(const PopParams& pop,
 
   std::vector<ClassProfile> classes = pop.classes;
   if (classes.empty()) classes.push_back(ClassProfile{});
-  const double pop_mean = result.aggregate.mean_response_time();
-  const uint64_t num_disks = result.aggregate.served_per_disk().size();
+  const double pop_mean = result.metrics.mean_response_time();
+  const uint64_t num_disks = result.metrics.served_per_disk().size();
   std::vector<ClientMetrics> per_class(classes.size(),
                                        ClientMetrics(num_disks));
   std::vector<uint64_t> class_counts(classes.size(), 0);

@@ -33,14 +33,15 @@
 ///
 /// Determinism contract:
 ///   - Results are **shard-count invariant**: any K produces the same
-///     `MultiClientResult` (and report) bit for bit. Per-client state is
+///     `SimResult` (and report) bit for bit. Per-client state is
 ///     keyed by client id, merges fold in ascending client order, and
 ///     the replay order above does not mention shards.
 ///   - On *uncoupled* configurations (no pull, no adaptation; faults
 ///     allowed) the engine reproduces the goldens recorded by the deleted
-///     single-simulation runner bit for bit
-///     (`tests/baselines/legacy_population/`): the same client worlds run
-///     the same events, and the merged event count reconstructs the
+///     single-simulation runner (`tests/baselines/legacy_population/`)
+///     in every field but the four that runner left at 0 (warm-up
+///     requests and program geometry): the same client worlds run the
+///     same events, and the merged event count reconstructs the
 ///     single-simulation count exactly.
 ///   - On coupled configurations barrier replay resolves
 ///     equal-timestamp races by (time, client id), where one simulation
@@ -65,12 +66,12 @@ namespace bcast::pop {
 /// \p pop.EffectiveShards() shards: the calling thread runs shard 0 and
 /// K-1 worker threads run the rest. Deterministic in
 /// `params.seed`; invariant in the shard count.
-Result<MultiClientResult> RunPopulationSimulation(
+Result<SimResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop,
     const SimObservers& observers);
 
 /// \brief Convenience overload without observers.
-Result<MultiClientResult> RunPopulationSimulation(
+Result<SimResult> RunPopulationSimulation(
     const MultiClientParams& params, const PopParams& pop);
 
 /// \brief Appends population-engine extras to a population report:
@@ -81,7 +82,7 @@ Result<MultiClientResult> RunPopulationSimulation(
 /// one block per receiver class (count, mean/p50/p90/p99/max response
 /// time, stretch).
 void AppendPopulationExtras(const PopParams& pop,
-                            const MultiClientResult& result,
+                            const SimResult& result,
                             obs::RunReport* report);
 
 }  // namespace bcast::pop

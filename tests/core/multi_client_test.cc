@@ -31,7 +31,7 @@ MultiClientParams SmallPopulation(size_t num_clients) {
 }
 
 // Runs \p params on the population engine with default engine knobs.
-Result<MultiClientResult> RunPopulation(
+Result<SimResult> RunPopulation(
     const MultiClientParams& params, const SimObservers& observers = {}) {
   return pop::RunPopulationSimulation(params, pop::PopParams{}, observers);
 }
@@ -136,7 +136,7 @@ TEST(MultiClientTest, KsyPopulationRunsAndRecordsProvenance) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->predicted_delay, 0.0);
   const obs::RunReport report =
-      MakePopulationRunReport(params, *result, "cfg", "test");
+      MakeRunReport(params, *result, "cfg", "test");
   EXPECT_EQ(report.optimizer, "ksy");
   bool has_predicted = false;
   for (const auto& [k, v] : report.extra) {
@@ -153,7 +153,7 @@ TEST(MultiClientTest, DeltaPopulationReportOmitsThePredictionExtra) {
   auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   const obs::RunReport report =
-      MakePopulationRunReport(params, *result, "cfg", "test");
+      MakeRunReport(params, *result, "cfg", "test");
   EXPECT_EQ(report.optimizer, "delta");
   for (const auto& [k, v] : report.extra) {
     EXPECT_NE(k, "optimizer_predicted_delay");
@@ -201,7 +201,12 @@ TEST(MultiClientTest, DeterministicInSeed) {
   auto b = RunPopulation(SmallPopulation(3));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->mean_response_times, b->mean_response_times);
+  ASSERT_EQ(a->per_client.size(), b->per_client.size());
+  for (size_t c = 0; c < a->per_client.size(); ++c) {
+    EXPECT_EQ(a->per_client[c].mean_response_time(),
+              b->per_client[c].mean_response_time())
+        << "client " << c;
+  }
 }
 
 TEST(MultiClientTest, AddingAClientDoesNotPerturbOthers) {
@@ -212,8 +217,8 @@ TEST(MultiClientTest, AddingAClientDoesNotPerturbOthers) {
   auto duo = RunPopulation(SmallPopulation(2));
   ASSERT_TRUE(solo.ok());
   ASSERT_TRUE(duo.ok());
-  EXPECT_DOUBLE_EQ(solo->mean_response_times[0],
-                   duo->mean_response_times[0]);
+  EXPECT_DOUBLE_EQ(solo->per_client[0].mean_response_time(),
+                   duo->per_client[0].mean_response_time());
 }
 
 TEST(MultiClientTest, AlignedClientBeatsShiftedClient) {
@@ -229,8 +234,8 @@ TEST(MultiClientTest, AlignedClientBeatsShiftedClient) {
   }
   auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
-  EXPECT_LT(result->mean_response_times[0],
-            0.8 * result->mean_response_times[1]);
+  EXPECT_LT(result->per_client[0].mean_response_time(),
+            0.8 * result->per_client[1].mean_response_time());
 }
 
 TEST(MultiClientTest, CachesShrinkTheFairnessGap) {
@@ -252,10 +257,10 @@ TEST(MultiClientTest, CachesShrinkTheFairnessGap) {
   auto with = RunPopulation(cached);
   ASSERT_TRUE(without.ok());
   ASSERT_TRUE(with.ok());
-  const double gap_without = without->mean_response_times[1] /
-                             without->mean_response_times[0];
-  const double gap_with =
-      with->mean_response_times[1] / with->mean_response_times[0];
+  const double gap_without = without->per_client[1].mean_response_time() /
+                             without->per_client[0].mean_response_time();
+  const double gap_with = with->per_client[1].mean_response_time() /
+                          with->per_client[0].mean_response_time();
   EXPECT_LT(gap_with, gap_without);
 }
 
@@ -289,7 +294,7 @@ TEST(MultiClientTest, MatchesSingleClientSimulator) {
   auto solo = RunSimulation(single);
   ASSERT_TRUE(solo.ok());
 
-  EXPECT_NEAR(population->mean_response_times[0],
+  EXPECT_NEAR(population->per_client[0].mean_response_time(),
               solo->metrics.mean_response_time(),
               0.1 * solo->metrics.mean_response_time());
 }
@@ -337,7 +342,7 @@ TEST(MultiClientReportTest, CarriesPerClientResponseHistograms) {
   auto result = RunPopulation(params);
   ASSERT_TRUE(result.ok());
   const obs::RunReport report =
-      MakePopulationRunReport(params, *result, "cfg", "test");
+      MakeRunReport(params, *result, "cfg", "test");
   // Every client contributes its own mean/percentile block, keyed by
   // index, so population reports expose the full response distribution
   // per client rather than only the cross-client aggregate.
@@ -400,9 +405,9 @@ TEST(MultiClientObserverTest, ObserversDoNotPerturbThePopulation) {
   timeline.Close();
 
   EXPECT_EQ(observed->events_dispatched, plain->events_dispatched);
-  EXPECT_EQ(observed->aggregate.requests(), plain->aggregate.requests());
-  EXPECT_DOUBLE_EQ(observed->aggregate.mean_response_time(),
-                   plain->aggregate.mean_response_time());
+  EXPECT_EQ(observed->metrics.requests(), plain->metrics.requests());
+  EXPECT_DOUBLE_EQ(observed->metrics.mean_response_time(),
+                   plain->metrics.mean_response_time());
   EXPECT_EQ(timeline.open_spans(), 0);
 #ifndef BCAST_DISABLE_TIMELINE
   EXPECT_GT(timeline.events_written(), 0u);
@@ -412,7 +417,7 @@ TEST(MultiClientObserverTest, ObserversDoNotPerturbThePopulation) {
             observed->events_dispatched);
 
   // Profile extras reach the population report only when profiling ran.
-  const obs::RunReport with = MakePopulationRunReport(
+  const obs::RunReport with = MakeRunReport(
       SmallPopulation(2), *observed, "cfg", "test");
   bool found = false;
   for (const auto& [k, v] : with.extra) {
@@ -423,7 +428,7 @@ TEST(MultiClientObserverTest, ObserversDoNotPerturbThePopulation) {
     }
   }
   EXPECT_TRUE(found);
-  const obs::RunReport without = MakePopulationRunReport(
+  const obs::RunReport without = MakeRunReport(
       SmallPopulation(2), *plain, "cfg", "test");
   for (const auto& [k, v] : without.extra) {
     EXPECT_NE(k.rfind("profile_", 0), 0u) << k;
@@ -443,12 +448,12 @@ TEST(MultiClientObserverTest, StatsStreamAggregatesThePopulation) {
   std::istringstream in(stats_out.str());
   Result<obs::StatsSummary> summary = obs::SummarizeStatsStream(in);
   ASSERT_TRUE(summary.ok());
-  EXPECT_EQ(summary->requests, result->aggregate.requests());
-  EXPECT_EQ(summary->hits, result->aggregate.cache_hits());
-  EXPECT_NEAR(summary->mean_rt, result->aggregate.mean_response_time(),
-              1e-8 * result->aggregate.mean_response_time());
+  EXPECT_EQ(summary->requests, result->metrics.requests());
+  EXPECT_EQ(summary->hits, result->metrics.cache_hits());
+  EXPECT_NEAR(summary->mean_rt, result->metrics.mean_response_time(),
+              1e-8 * result->metrics.mean_response_time());
   EXPECT_EQ(summary->served_per_disk,
-            result->aggregate.served_per_disk());
+            result->metrics.served_per_disk());
 }
 
 }  // namespace

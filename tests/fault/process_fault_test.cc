@@ -261,7 +261,12 @@ TEST(ProcessFaultTest, MultiClientCrashesAreIndependentPerClient) {
   EXPECT_TRUE(a->faults_active);
   EXPECT_GT(a->faults.crashes, 0u);
   EXPECT_EQ(a->faults.crashes, b->faults.crashes);
-  EXPECT_EQ(a->mean_response_times, b->mean_response_times);
+  ASSERT_EQ(a->per_client.size(), b->per_client.size());
+  for (size_t c = 0; c < a->per_client.size(); ++c) {
+    EXPECT_EQ(a->per_client[c].mean_response_time(),
+              b->per_client[c].mean_response_time())
+        << "client " << c;
+  }
 }
 
 TEST(ProcessFaultTest, HorizonTurnsHangsIntoErrors) {

@@ -127,7 +127,12 @@ TEST(DeterminismTest, MultiClientRunsAreBitIdentical) {
   auto b = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->mean_response_times, b->mean_response_times);
+  ASSERT_EQ(a->per_client.size(), b->per_client.size());
+  for (size_t c = 0; c < a->per_client.size(); ++c) {
+    EXPECT_EQ(a->per_client[c].mean_response_time(),
+              b->per_client[c].mean_response_time())
+        << "client " << c;
+  }
   EXPECT_EQ(a->end_time, b->end_time);
 }
 

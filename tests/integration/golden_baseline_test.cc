@@ -146,7 +146,7 @@ TEST(GoldenBaselineTest, PopulationGoldenMatches) {
   auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectMatchesGolden(
-      MakePopulationRunReport(params, *result, base.ToString(), kTool));
+      MakeRunReport(params, *result, base.ToString(), kTool));
 }
 
 TEST(GoldenBaselineTest, UpdatesGoldenMatches) {

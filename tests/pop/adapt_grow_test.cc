@@ -63,14 +63,14 @@ TEST(AdaptGrowTest, ScenarioReportPassesTheRequireGrowGate) {
   anchor_params.adapt.epoch_cycles = 0;  // static anchor
   auto anchor_result = RunPopulationSimulation(anchor_params, pop);
   ASSERT_TRUE(anchor_result.ok()) << anchor_result.status().ToString();
-  obs::RunReport anchor = MakePopulationRunReport(
+  obs::RunReport anchor = MakeRunReport(
       anchor_params, *anchor_result, "pop_grow_static", "test");
 
   const MultiClientParams params = BacklogScenario();
   auto result = RunPopulationSimulation(params, pop);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   obs::RunReport adaptive =
-      MakePopulationRunReport(params, *result, "pop_grow_adaptive", "test");
+      MakeRunReport(params, *result, "pop_grow_adaptive", "test");
 
   const check::CheckList checks = check::CheckAdaptImprovement(
       {check::AdaptSweepPointFromReport(anchor),

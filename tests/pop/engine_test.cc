@@ -1,7 +1,9 @@
 // Differential tests of the sharded population engine against goldens
 // recorded by the retired single-simulation runner: on uncoupled and
 // fault-only configurations the engine must reproduce those reports
-// *bit for bit*, for any shard count. Also covers the engine-only
+// *bit for bit*, for any shard count. (The goldens were re-recorded once
+// for the four fields that runner left at 0: warm-up requests and the
+// program geometry.) Also covers the engine-only
 // observability surfaces: population report extras and the
 // stats-stream population fields.
 
@@ -19,6 +21,7 @@
 #include "broadcast/generator.h"
 #include "core/multi_client.h"
 #include "core/simulator.h"
+#include "obs/registry.h"
 #include "obs/run_report.h"
 #include "obs/stats_stream.h"
 #include "obs/timeline.h"
@@ -54,7 +57,7 @@ std::string EngineBytes(const MultiClientParams& params, PopParams pop,
   auto result = RunPopulationSimulation(params, pop);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   return SimulationBytes(
-      MakePopulationRunReport(params, *result, "pop_test", "test"));
+      MakeRunReport(params, *result, "pop_test", "test"));
 }
 
 void ExpectEngineMatchesGolden(const MultiClientParams& params,
@@ -127,7 +130,7 @@ TEST(PopulationEngineTest, AppendsPopulationAndClassExtras) {
   auto result = RunPopulationSimulation(params, pop);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   obs::RunReport report =
-      MakePopulationRunReport(params, *result, "pop_test", "test");
+      MakeRunReport(params, *result, "pop_test", "test");
   AppendPopulationExtras(pop, *result, &report);
 
   EXPECT_EQ(ExtraOr(report, "pop_clients", -1.0), 8.0);
@@ -199,13 +202,95 @@ TEST(PopulationEngineTest, StatsObservationDoesNotPerturbTheRun) {
   auto observed = RunPopulationSimulation(params, pop, observers);
   ASSERT_TRUE(observed.ok());
   EXPECT_EQ(observed->events_dispatched, unobserved->events_dispatched);
-  auto normalized = [&](const MultiClientResult& result) {
+  auto normalized = [&](const SimResult& result) {
     obs::RunReport report =
-        MakePopulationRunReport(params, result, "pop_test", "test");
+        MakeRunReport(params, result, "pop_test", "test");
     report.end_time = 0.0;
     return SimulationBytes(std::move(report));
   };
   EXPECT_EQ(normalized(*observed), normalized(*unobserved));
+}
+
+// The engine fills the warm-up count and the program geometry the legacy
+// runner left at 0; both are checked against values derived outside the
+// report builder: the stats stream's final record and the schedule build.
+TEST(PopulationEngineTest, ReportCarriesWarmupAndProgramGeometry) {
+  MultiClientParams params = MakePopulation(6);
+  PopParams pop;
+  pop.clients = 6;
+  pop.shards = 2;
+  std::ostringstream stream;
+  obs::StatsWriter writer(&stream);
+  SimObservers observers;
+  observers.stats = &writer;
+  auto result = RunPopulationSimulation(params, pop, observers);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const obs::RunReport report =
+      MakeRunReport(params, *result, "pop_test", "test");
+
+  std::istringstream lines(stream.str());
+  std::string line;
+  obs::StatsSample last;
+  while (std::getline(lines, line)) {
+    auto sample = obs::ParseStatsLine(line);
+    ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+    last = *sample;
+  }
+  ASSERT_TRUE(last.final_sample);
+  EXPECT_GT(report.warmup_requests, 0u);
+  EXPECT_EQ(report.warmup_requests, last.warmup_requests);
+
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  EXPECT_GT(report.period, 0u);
+  EXPECT_EQ(report.period, schedule->program.period());
+  EXPECT_EQ(report.empty_slots, schedule->program.EmptySlots());
+  EXPECT_EQ(report.perturbed_pages, 0u);  // no noise
+}
+
+TEST(PopulationEngineTest, NoiseMovesPagesOfEveryClient) {
+  MultiClientParams params = MakePopulation(3);
+  for (ClientSpec& spec : params.clients) spec.noise_percent = 30.0;
+  auto three = RunPopulationSimulation(params, PopParams{});
+  params.clients.resize(1);
+  auto one = RunPopulationSimulation(params, PopParams{});
+  ASSERT_TRUE(three.ok());
+  ASSERT_TRUE(one.ok());
+  // Each client draws its own noise; client 0's draw does not depend on
+  // the others, so the population moves at least its pages.
+  EXPECT_GT(one->perturbed_pages, 0u);
+  EXPECT_GT(three->perturbed_pages, one->perturbed_pages);
+}
+
+// The engine records the finished run into the registry, so a population
+// report's `metrics` block agrees with the report's own fields.
+TEST(PopulationEngineTest, RecordsTheRunIntoTheRegistry) {
+  MultiClientParams params = MakePopulation(4);
+  params.fault.loss = 0.1;
+  PopParams pop;
+  pop.clients = 4;
+  obs::MetricsRegistry registry;
+  SimObservers observers;
+  observers.registry = &registry;
+  auto result = RunPopulationSimulation(params, pop, observers);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  obs::RunReport report = MakeRunReport(params, *result, "pop_test", "test");
+  report.metrics = registry.TakeSnapshot();
+
+  auto counter = [&](const std::string& name) -> int64_t {
+    for (const auto& [key, value] : report.metrics.counters) {
+      if (key == name) return static_cast<int64_t>(value);
+    }
+    return -1;
+  };
+  EXPECT_EQ(counter("sim/requests"),
+            static_cast<int64_t>(report.requests));
+  EXPECT_EQ(counter("sim/warmup_requests"),
+            static_cast<int64_t>(report.warmup_requests));
+  EXPECT_EQ(counter("sim/events"),
+            static_cast<int64_t>(report.events_dispatched));
+  EXPECT_EQ(static_cast<double>(counter("fault/attempts")),
+            ExtraOr(report, "fault_attempts", -1.0));
 }
 
 // Validate admits --adapt_reopt for a population of one (single mode runs

@@ -77,7 +77,7 @@ TEST(ShardMatrixTest, ReportsInvariantInShardCount) {
       auto result = RunPopulationSimulation(base, pop);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       obs::RunReport report =
-          MakePopulationRunReport(base, *result, name, "test");
+          MakeRunReport(base, *result, name, "test");
       AppendPopulationExtras(pop, *result, &report);
       const std::string bytes = SimulationBytes(std::move(report));
       if (reference.empty()) {
@@ -153,7 +153,7 @@ TEST(ShardMatrixTest, ClassProfilesStayShardInvariant) {
     auto result = RunPopulationSimulation(base, pop);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     obs::RunReport report =
-        MakePopulationRunReport(base, *result, "pop_classes", "test");
+        MakeRunReport(base, *result, "pop_classes", "test");
     AppendPopulationExtras(pop, *result, &report);
     const std::string bytes = SimulationBytes(std::move(report));
     if (reference.empty()) {

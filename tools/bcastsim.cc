@@ -55,51 +55,30 @@ bool MaybeWriteReport(const obs::RunReport& report,
   return true;
 }
 
-// Runs the population mode on the sharded engine: `pop.clients` copies
-// of the configured client whose interests are spread evenly across the
-// database, on `pop.shards` threads — results are shard-count invariant.
-int RunPopulation(const SimParams& base, const pop::PopParams& pop,
-                  const std::string& report_out,
-                  const SimObservers& observers) {
-  MultiClientParams params = PopulationFromSimParams(base, pop.clients);
-  pop::ApplyClassProfiles(pop.classes, &params.clients);
-  auto result = pop::RunPopulationSimulation(params, pop, observers);
-  if (!result.ok()) {
-    std::cerr << result.status().ToString() << "\n";
-    return 1;
-  }
-  // Per-client rows stay readable for paper-scale populations; a 100k
-  // client run gets the aggregate lines only.
+// Prints a population run: per-client rows stay readable for
+// paper-scale populations; a 100k client run gets the aggregate lines
+// only.
+void PrintPopulation(const MultiClientParams& params,
+                     const pop::PopParams& pop, const SimResult& result) {
   constexpr size_t kMaxClientRows = 32;
   if (params.clients.size() <= kMaxClientRows) {
     AsciiTable table({"Client", "InterestShift", "MeanRT", "CacheHit%"});
     for (size_t c = 0; c < params.clients.size(); ++c) {
+      const ClientMetrics& m = result.per_client[c];
       table.AddRow({std::to_string(c),
                     std::to_string(params.clients[c].interest_shift),
-                    FormatDouble(result->mean_response_times[c], 1),
-                    FormatDouble(100.0 * result->per_client[c].hit_rate(),
-                                 1)});
+                    FormatDouble(m.mean_response_time(), 1),
+                    FormatDouble(100.0 * m.hit_rate(), 1)});
     }
     table.Print(std::cout);
   } else {
     std::cout << params.clients.size() << " clients over "
               << pop.EffectiveShards() << " shard(s)\n";
   }
-  std::cout << "Population mean "
-            << FormatDouble(result->response_across_clients.mean(), 1)
-            << ", max/min "
-            << FormatDouble(result->response_across_clients.max() /
-                                result->response_across_clients.min(),
-                            2)
+  const RunningStat& across = result.response_across_clients;
+  std::cout << "Population mean " << FormatDouble(across.mean(), 1)
+            << ", max/min " << FormatDouble(across.max() / across.min(), 2)
             << "\n";
-
-  if (!report_out.empty()) {
-    obs::RunReport report = MakePopulationRunReport(
-        params, *result, base.ToString(), "bcastsim");
-    pop::AppendPopulationExtras(pop, *result, &report);
-    if (!MaybeWriteReport(report, report_out)) return 1;
-  }
-  return 0;
 }
 
 // Runs the updates mode with the given consistency action name.
@@ -340,64 +319,54 @@ int Run(int argc, const char* const* argv) {
   observers.stats_interval = stats_interval;
   observers.profile_des = profile_des;
 
-  if (mode == "population") {
-    pop::PopParams pop = config.pop;
-    pop.clients = clients;
-    return RunPopulation(params, pop, report_out, observers);
-  }
-
-  // Run (averaging over seeds if requested); keep the last run's
-  // breakdown for display and an across-seeds aggregate for the report.
+  // Population mode runs `clients` copies of the configured client,
+  // their interests spread evenly across the database, on the sharded
+  // engine (results are shard-count invariant). Single mode averages
+  // over seeds: the report merges every seed, the table shows the last
+  // run's breakdown.
+  const bool population = mode == "population";
+  pop::PopParams pop = config.pop;
+  pop.clients = clients;
+  MultiClientParams run_params =
+      PopulationFromSimParams(params, population ? clients : 1);
+  pop::ApplyClassProfiles(pop.classes, &run_params.clients);
   RunningStat response;
   Result<SimResult> last = Status::Internal("no runs");
-  SimResult aggregate;
-  bool have_aggregate = false;
-  for (uint64_t i = 0; i < seeds; ++i) {
-    SimParams run = params;
-    run.seed = params.seed + i;
-    last = RunSimulation(run, observers);
-    if (!last.ok()) {
-      std::cerr << last.status().ToString() << "\n";
-      return 1;
-    }
-    response.Add(last->metrics.mean_response_time());
-    if (!have_aggregate) {
-      aggregate = *last;
-      have_aggregate = true;
-    } else {
-      aggregate.metrics.Merge(last->metrics);
-      aggregate.warmup_requests += last->warmup_requests;
-      aggregate.end_time += last->end_time;
-      aggregate.timings.Accumulate(last->timings);
-      aggregate.events_dispatched += last->events_dispatched;
-      if (last->faults_active) {
-        aggregate.faults.Merge(last->faults);
-        aggregate.faults_active = true;
-      }
-      if (last->pull_active) {
-        aggregate.pull_stats.Merge(last->pull_stats);
-        aggregate.pull_active = true;
-      }
-      if (last->adapt_active) {
-        aggregate.adapt_stats.Merge(last->adapt_stats);
-        aggregate.adapt_active = true;
-      }
-      aggregate.cold_requests += last->cold_requests;
-      aggregate.cold_hits += last->cold_hits;
-      if (last->profile_active) {
-        aggregate.profile.Merge(last->profile);
-        aggregate.profile_active = true;
+  Result<SimResult> result = Status::Internal("no runs");
+  if (population) {
+    result = pop::RunPopulationSimulation(run_params, pop, observers);
+  } else {
+    for (uint64_t i = 0; i < seeds; ++i) {
+      SimParams run = params;
+      run.seed = params.seed + i;
+      last = RunSimulation(run, observers);
+      if (!last.ok()) break;
+      response.Add(last->metrics.mean_response_time());
+      if (i == 0) {
+        result = *last;
+      } else {
+        result->Merge(*last);
       }
     }
+    if (!last.ok()) result = last.status();
+  }
+  if (!result.ok()) {
+    std::cerr << result.status().ToString() << "\n";
+    return 1;
   }
   if (trace != nullptr) trace->Flush();
   if (timeline != nullptr) timeline->Flush();
   if (stats != nullptr) stats->Flush();
   if (!report_out.empty()) {
-    obs::RunReport report = MakeRunReport(params, aggregate, "bcastsim");
-    report.seeds = seeds;
+    obs::RunReport report =
+        MakeRunReport(run_params, *result, params.ToString(), "bcastsim");
+    if (population) pop::AppendPopulationExtras(pop, *result, &report);
     report.metrics = registry.TakeSnapshot();
     if (!MaybeWriteReport(report, report_out)) return 1;
+  }
+  if (population) {
+    PrintPopulation(run_params, pop, *result);
+    return 0;
   }
   const ClientMetrics& m = last->metrics;
   const std::vector<double> fractions = m.LocationFractions();
