@@ -4,54 +4,83 @@
 
 namespace bcast {
 
-LruList::LruList(PageId num_pages) : nodes_(num_pages) {}
+LruList::LruList(PageId num_pages, uint64_t capacity)
+    : index_(num_pages, kNoNode) {
+  nodes_.reserve(capacity);
+}
+
+void LruList::Unlink(uint32_t n) {
+  const Node& node = nodes_[n];
+  if (node.prev != kNoNode) {
+    nodes_[node.prev].next = node.next;
+  } else {
+    head_ = node.next;
+  }
+  if (node.next != kNoNode) {
+    nodes_[node.next].prev = node.prev;
+  } else {
+    tail_ = node.prev;
+  }
+}
+
+void LruList::LinkFront(uint32_t n) {
+  Node& node = nodes_[n];
+  node.prev = kNoNode;
+  node.next = head_;
+  if (head_ != kNoNode) {
+    nodes_[head_].prev = n;
+  } else {
+    tail_ = n;
+  }
+  head_ = n;
+}
 
 void LruList::PushFront(PageId page) {
-  Node& node = nodes_[page];
-  BCAST_CHECK(!node.linked) << "page already linked";
-  node.linked = true;
-  node.prev = kEmptySlot;
-  node.next = head_;
-  if (head_ != kEmptySlot) nodes_[head_].prev = page;
-  head_ = page;
-  if (tail_ == kEmptySlot) tail_ = page;
+  BCAST_CHECK(index_[page] == kNoNode) << "page already linked";
+  uint32_t n = free_;
+  if (n != kNoNode) {
+    free_ = nodes_[n].next;
+    nodes_[n].page = page;
+  } else {
+    n = static_cast<uint32_t>(nodes_.size());
+    nodes_.push_back(Node{page, kNoNode, kNoNode});
+  }
+  LinkFront(n);
+  index_[page] = n;
   ++size_;
 }
 
 void LruList::Remove(PageId page) {
-  Node& node = nodes_[page];
-  BCAST_CHECK(node.linked) << "removing unlinked page";
-  if (node.prev != kEmptySlot) nodes_[node.prev].next = node.next;
-  if (node.next != kEmptySlot) nodes_[node.next].prev = node.prev;
-  if (head_ == page) head_ = node.next;
-  if (tail_ == page) tail_ = node.prev;
-  node.linked = false;
-  node.prev = node.next = kEmptySlot;
+  const uint32_t n = index_[page];
+  BCAST_CHECK(n != kNoNode) << "removing unlinked page";
+  Unlink(n);
+  nodes_[n].next = free_;
+  free_ = n;
+  index_[page] = kNoNode;
   --size_;
 }
 
 void LruList::Touch(PageId page) {
-  if (head_ == page) return;
-  Remove(page);
-  PushFront(page);
+  const uint32_t n = index_[page];
+  BCAST_CHECK(n != kNoNode) << "touching unlinked page";
+  if (n == head_) return;
+  Unlink(n);
+  LinkFront(n);
 }
 
 void LruList::Clear() {
-  PageId page = head_;
-  while (page != kEmptySlot) {
-    Node& node = nodes_[page];
-    const PageId next = node.next;
-    node.linked = false;
-    node.prev = node.next = kEmptySlot;
-    page = next;
+  for (uint32_t n = head_; n != kNoNode; n = nodes_[n].next) {
+    index_[nodes_[n].page] = kNoNode;
   }
-  head_ = tail_ = kEmptySlot;
+  nodes_.clear();
+  head_ = tail_ = free_ = kNoNode;
   size_ = 0;
 }
 
 LruCache::LruCache(uint64_t capacity, PageId num_pages,
                    const PageCatalog* catalog)
-    : CachePolicy(capacity, num_pages, catalog), list_(num_pages) {}
+    : CachePolicy(capacity, num_pages, catalog),
+      list_(num_pages, capacity) {}
 
 bool LruCache::Lookup(PageId page, double /*now*/) {
   if (!list_.Contains(page)) return false;

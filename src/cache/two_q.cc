@@ -10,8 +10,8 @@ TwoQCache::TwoQCache(uint64_t capacity, PageId num_pages,
                      const PageCatalog* catalog, TwoQOptions options)
     : CachePolicy(capacity, num_pages, catalog),
       options_(options),
-      a1in_(num_pages),
-      am_(num_pages),
+      a1in_(num_pages, capacity),
+      am_(num_pages, capacity),
       in_a1out_(num_pages, false) {
   BCAST_CHECK_GT(options.kin_fraction, 0.0);
   BCAST_CHECK_LE(options.kin_fraction, 1.0);

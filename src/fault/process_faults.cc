@@ -17,9 +17,9 @@ FaultWindows::FaultWindows(Rng rng, double mean_gap, double width)
 
 void FaultWindows::ExtendTo(double t) {
   while (horizon_ <= t) {
-    const double prev_end = windows_.empty() ? 0.0 : windows_.back().second;
-    const double start = prev_end + rng_.NextExponential(mean_gap_);
-    windows_.emplace_back(start, start + width_);
+    const double start = last_end_ + rng_.NextExponential(mean_gap_);
+    last_end_ = start + width_;
+    windows_.emplace_back(start, last_end_);
     // Every window with start <= `start` now exists; the *next* one starts
     // strictly later only in expectation, so the horizon is exclusive.
     horizon_ = start;
@@ -27,8 +27,21 @@ void FaultWindows::ExtendTo(double t) {
   }
 }
 
+void FaultWindows::ForgetBefore(double t) {
+  floor_ = std::max(floor_, t);
+  // Windows are sorted by end too. One ending by the floor lies wholly
+  // before every later query's instant: DownDuring and ClearTime only
+  // look at windows ending after it, and CountUpTo counts it as dropped.
+  auto keep = std::find_if(
+      windows_.begin(), windows_.end(),
+      [this](const std::pair<double, double>& w) { return w.second > floor_; });
+  dropped_ += static_cast<uint64_t>(keep - windows_.begin());
+  windows_.erase(windows_.begin(), keep);
+}
+
 bool FaultWindows::DownDuring(double from, double to) {
   if (width_ <= 0.0) return false;
+  BCAST_CHECK_GE(from, floor_) << "fault-window query below the floor";
   ExtendTo(to);
   // First window with start > to; only its predecessor can overlap
   // [from, to] (windows are disjoint and sorted, so ends are sorted too).
@@ -41,6 +54,7 @@ bool FaultWindows::DownDuring(double from, double to) {
 
 double FaultWindows::ClearTime(double t) {
   if (width_ <= 0.0) return t;
+  BCAST_CHECK_GE(t, floor_) << "fault-window query below the floor";
   for (;;) {
     ExtendTo(t);
     auto it = std::upper_bound(
@@ -54,11 +68,12 @@ double FaultWindows::ClearTime(double t) {
 }
 
 uint64_t FaultWindows::CountUpTo(double t) {
+  BCAST_CHECK_GE(t, floor_) << "fault-window query below the floor";
   ExtendTo(t);
   auto it = std::upper_bound(
       windows_.begin(), windows_.end(), t,
       [](double v, const std::pair<double, double>& w) { return v < w.first; });
-  return static_cast<uint64_t>(it - windows_.begin());
+  return dropped_ + static_cast<uint64_t>(it - windows_.begin());
 }
 
 ServerFaultPlane::ServerFaultPlane(const ProcessFaultParams& params,

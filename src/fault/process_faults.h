@@ -33,7 +33,9 @@ namespace bcast::fault {
 /// run, keyed by (0, kStall)). Windows never overlap; consecutive windows
 /// may touch. All queries extend the materialized horizon as needed, so
 /// a window is generated exactly once no matter which query sees it
-/// first.
+/// first. `ForgetBefore` raises a floor below which no later query may
+/// reach; windows that end by the floor are dropped (only counted), so
+/// memory stays bounded however long the run.
 class FaultWindows {
  public:
   /// \param rng Source of inter-window gaps (consumed incrementally).
@@ -43,13 +45,24 @@ class FaultWindows {
   FaultWindows(Rng rng, double mean_gap, double width);
 
   /// True when any window overlaps the closed interval [\p from, \p to].
+  /// \p from must not be below the floor.
   bool DownDuring(double from, double to);
 
   /// First instant >= \p t outside every window (== \p t when \p t is up).
+  /// \p t must not be below the floor.
   double ClearTime(double t);
 
-  /// Number of windows whose start is <= \p t.
+  /// Number of windows whose start is <= \p t, dropped ones included.
+  /// \p t must not be below the floor.
   uint64_t CountUpTo(double t);
+
+  /// Promises that no later query asks about an instant before \p t (a
+  /// lower \p t leaves the floor where it is) and drops every window
+  /// that ends by the floor: none of them can answer a query any more.
+  void ForgetBefore(double t);
+
+  /// Windows currently held (materialized and not yet dropped).
+  size_t retained() const { return windows_.size(); }
 
  private:
   /// Materializes every window with start <= \p t.
@@ -58,9 +71,15 @@ class FaultWindows {
   Rng rng_;
   double mean_gap_;
   double width_;
-  /// All windows with start <= horizon_ exist in windows_.
+  /// All windows with start <= horizon_ have been generated.
   double horizon_ = 0.0;
-  /// Sorted, non-overlapping [start, end) pairs.
+  /// End of the last generated window: where the next gap starts.
+  double last_end_ = 0.0;
+  /// No query may ask about an instant before floor_.
+  double floor_ = 0.0;
+  /// Generated windows dropped by ForgetBefore (all start before floor_).
+  uint64_t dropped_ = 0;
+  /// Sorted, non-overlapping [start, end) pairs not yet dropped.
   std::vector<std::pair<double, double>> windows_;
 };
 
@@ -88,6 +107,12 @@ class ServerFaultPlane {
 
   /// First instant >= \p t outside every stall window.
   double StallClearTime(double t);
+
+  /// No later query asks about an instant before \p t (see
+  /// `FaultWindows::ForgetBefore`).
+  void ForgetBefore(double t) {
+    if (stalls_.has_value()) stalls_->ForgetBefore(t);
+  }
 
   /// The (possibly jittered) completion time of a transmission whose
   /// nominal completion is \p nominal_end. Equal to \p nominal_end when

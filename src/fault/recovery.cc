@@ -86,6 +86,7 @@ Receiver::Receiver(std::unique_ptr<FaultModel> model,
 
 void Receiver::BeginWait(PageId page, double now, double ideal_end,
                          double gap) {
+  ForgetBefore(now);
   page_ = page;
   wait_ideal_end_ = ideal_end;
   wait_gap_ = std::max(gap, 1.0);
@@ -174,10 +175,21 @@ void Receiver::ApplyCrashesUpTo(double t) {
 }
 
 double Receiver::CrashResume(double now) {
+  ForgetBefore(now);
   if (crash_ == nullptr) return now;
   const double resume = crash_->ClearTime(now);
   ApplyCrashesUpTo(resume);
   return resume;
+}
+
+void Receiver::ForgetBefore(double now) {
+  // Every window query this client makes from here on is about an
+  // instant at or after now - 1: scheduled arrivals start at or after
+  // the instant the client listens from, and a pull slot may deliver to
+  // a wait that began partway through it.
+  const double floor = now - 1.0;
+  if (crash_ != nullptr) crash_->ForgetBefore(floor);
+  if (server_faults_ != nullptr) server_faults_->ForgetBefore(floor);
 }
 
 double Receiver::NoteDozeMiss(double arrival_start) {

@@ -278,6 +278,11 @@ class Receiver {
   /// Applies every crash with start <= \p t exactly once (the awaiter
   /// path and the client-loop poll share the applied counter).
   void ApplyCrashesUpTo(double t);
+
+  /// The client's clock reached \p now: lets the crash and stall
+  /// schedules drop the windows no later query can reach.
+  void ForgetBefore(double now);
+
   std::unique_ptr<FaultModel> model_;
   PageLossSink* loss_sink_ = nullptr;
   obs::TimelineWriter* timeline_ = nullptr;

@@ -11,7 +11,6 @@ LogHistogram::LogHistogram(Options options) : options_(options) {
   BCAST_CHECK_GT(options_.min_value, 0.0);
   BCAST_CHECK_GE(options_.sub_buckets, 1u);
   BCAST_CHECK_GE(options_.octaves, 1u);
-  counts_.assign(2 + options_.octaves * options_.sub_buckets, 0);
 }
 
 size_t LogHistogram::BucketIndex(double value) const {
@@ -25,11 +24,11 @@ size_t LogHistogram::BucketIndex(double value) const {
   const size_t idx =
       1 + static_cast<size_t>(exp - 1) * options_.sub_buckets +
       std::min<size_t>(sub, options_.sub_buckets - 1);
-  return std::min(idx, counts_.size() - 1);
+  return std::min(idx, num_buckets() - 1);
 }
 
 double LogHistogram::BucketLower(size_t i) const {
-  BCAST_CHECK_LT(i, counts_.size());
+  BCAST_CHECK_LT(i, num_buckets());
   if (i == 0) return 0.0;
   const size_t octave = (i - 1) / options_.sub_buckets;
   const size_t sub = (i - 1) % options_.sub_buckets;
@@ -39,17 +38,30 @@ double LogHistogram::BucketLower(size_t i) const {
 }
 
 double LogHistogram::BucketUpper(size_t i) const {
-  BCAST_CHECK_LT(i, counts_.size());
-  if (i + 1 < counts_.size()) return BucketLower(i + 1);
+  BCAST_CHECK_LT(i, num_buckets());
+  if (i + 1 < num_buckets()) return BucketLower(i + 1);
   // Overflow bucket: the best honest upper edge is the largest value seen.
   return std::max(BucketLower(i), count_ ? max_ : BucketLower(i));
+}
+
+void LogHistogram::GrowTo(size_t size) {
+  // Whole octaves, through two past the one holding bucket size - 1, so
+  // values up to 4x the largest seen land without reallocating: in a
+  // population each regrowth touches fresh heap mid-run.
+  const size_t sub = options_.sub_buckets;
+  const size_t octave = size < 2 ? 0 : (size - 2) / sub;
+  size = std::min(num_buckets(), 1 + (octave + 3) * sub);
+  counts_.reserve(size);
+  counts_.resize(size, 0);
 }
 
 void LogHistogram::Add(double value) {
   // The negated comparison also catches NaN, which would otherwise poison
   // sum_/min_/max_ and every quantile derived from them.
   if (!(value >= 0.0)) value = 0.0;
-  ++counts_[BucketIndex(value)];
+  const size_t idx = BucketIndex(value);
+  if (idx >= counts_.size()) GrowTo(idx + 1);
+  ++counts_[idx];
   ++count_;
   sum_ += value;
   min_ = std::min(min_, value);
@@ -57,10 +69,13 @@ void LogHistogram::Add(double value) {
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
-  BCAST_CHECK_EQ(counts_.size(), other.counts_.size())
+  BCAST_CHECK_EQ(num_buckets(), other.num_buckets())
       << "merging histograms with different geometries";
   BCAST_CHECK_EQ(options_.min_value, other.options_.min_value);
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  if (other.counts_.size() > counts_.size()) GrowTo(other.counts_.size());
+  for (size_t i = 0; i < other.counts_.size(); ++i) {
+    counts_[i] += other.counts_[i];
+  }
   count_ += other.count_;
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
@@ -68,7 +83,7 @@ void LogHistogram::Merge(const LogHistogram& other) {
 }
 
 void LogHistogram::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.clear();
   count_ = 0;
   sum_ = 0.0;
   min_ = std::numeric_limits<double>::infinity();

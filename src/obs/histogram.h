@@ -6,10 +6,13 @@
 /// from 0 slots on a cache hit to a whole broadcast period on an unlucky
 /// miss) with bounded relative error: each power-of-two octave is split
 /// into `sub_buckets` linear sub-buckets, so recording is a couple of
-/// float ops plus one `uint64_t` bump — no locks, no allocation after
-/// construction. `Merge()` combines per-client instances after a
-/// multi-client run. `LinearHistogram` is the classic fixed-width
-/// variant for quantities with a known small range.
+/// float ops plus one `uint64_t` bump, with no locks. Bucket storage
+/// covers only a prefix reaching a little past the highest bucket
+/// touched so far: an unused histogram allocates nothing, and one that
+/// only ever saw short waits never pays for the long-wait octaves.
+/// `Merge()` combines per-client instances after a multi-client run.
+/// `LinearHistogram` is the classic fixed-width variant for quantities
+/// with a known small range.
 
 #ifndef BCAST_OBS_HISTOGRAM_H_
 #define BCAST_OBS_HISTOGRAM_H_
@@ -91,7 +94,9 @@ class LogHistogram {
   /// @{
   /// Total buckets including the underflow ([0, min_value)) bucket at
   /// index 0 and the overflow bucket at the last index.
-  size_t num_buckets() const { return counts_.size(); }
+  size_t num_buckets() const {
+    return 2 + options_.octaves * options_.sub_buckets;
+  }
 
   /// The bucket \p value would be recorded into.
   size_t BucketIndex(double value) const;
@@ -103,14 +108,23 @@ class LogHistogram {
   /// largest observed value, or its lower edge when empty).
   double BucketUpper(size_t i) const;
 
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
+  /// Observations in bucket \p i (0 past the stored prefix).
+  uint64_t bucket_count(size_t i) const {
+    return i < counts_.size() ? counts_[i] : 0;
+  }
   /// @}
 
   const Options& options() const { return options_; }
 
  private:
+  /// Extends the stored prefix to at least \p size buckets.
+  void GrowTo(size_t size);
+
   Options options_;
-  std::vector<uint64_t> counts_;  // [underflow, regular..., overflow]
+  // [underflow, regular..., overflow], stored through the highest bucket
+  // touched plus GrowTo's headroom; the rest of the num_buckets()
+  // geometry reads as 0.
+  std::vector<uint64_t> counts_;
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -8,7 +8,7 @@ namespace bcast {
 namespace {
 
 TEST(LruListTest, PushFrontAndBack) {
-  LruList list(10);
+  LruList list(10, 10);
   list.PushFront(3);
   list.PushFront(5);
   list.PushFront(7);
@@ -18,14 +18,14 @@ TEST(LruListTest, PushFrontAndBack) {
 }
 
 TEST(LruListTest, EmptySentinels) {
-  LruList list(4);
+  LruList list(4, 4);
   EXPECT_EQ(list.Front(), kEmptySlot);
   EXPECT_EQ(list.Back(), kEmptySlot);
   EXPECT_EQ(list.size(), 0u);
 }
 
 TEST(LruListTest, RemoveHeadTailMiddle) {
-  LruList list(10);
+  LruList list(10, 10);
   for (PageId p : {1, 2, 3, 4}) list.PushFront(p);  // 4 3 2 1
   list.Remove(3);                                   // middle
   EXPECT_EQ(list.size(), 3u);
@@ -39,7 +39,7 @@ TEST(LruListTest, RemoveHeadTailMiddle) {
 }
 
 TEST(LruListTest, TouchMovesToFront) {
-  LruList list(10);
+  LruList list(10, 10);
   for (PageId p : {1, 2, 3}) list.PushFront(p);  // 3 2 1
   list.Touch(1);                                 // 1 3 2
   EXPECT_EQ(list.Front(), 1u);
@@ -49,7 +49,7 @@ TEST(LruListTest, TouchMovesToFront) {
 }
 
 TEST(LruListTest, ContainsTracksMembership) {
-  LruList list(5);
+  LruList list(5, 5);
   EXPECT_FALSE(list.Contains(2));
   list.PushFront(2);
   EXPECT_TRUE(list.Contains(2));
@@ -58,7 +58,7 @@ TEST(LruListTest, ContainsTracksMembership) {
 }
 
 TEST(LruListTest, ReinsertAfterRemove) {
-  LruList list(5);
+  LruList list(5, 5);
   list.PushFront(1);
   list.Remove(1);
   list.PushFront(1);
@@ -67,14 +67,20 @@ TEST(LruListTest, ReinsertAfterRemove) {
 }
 
 TEST(LruListDeathTest, DoublePushDies) {
-  LruList list(5);
+  LruList list(5, 5);
   list.PushFront(1);
   EXPECT_DEATH(list.PushFront(1), "already linked");
 }
 
 TEST(LruListDeathTest, RemoveUnlinkedDies) {
-  LruList list(5);
+  LruList list(5, 5);
   EXPECT_DEATH(list.Remove(1), "unlinked");
+}
+
+TEST(LruListDeathTest, TouchUnlinkedDies) {
+  LruList list(5, 5);
+  list.PushFront(2);
+  EXPECT_DEATH(list.Touch(1), "unlinked");
 }
 
 // --- LruCache ---

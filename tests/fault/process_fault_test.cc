@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -62,6 +63,42 @@ TEST(FaultWindowsTest, QueryOrderDoesNotChangeWindows) {
     EXPECT_EQ(ahead.DownDuring(t, t + 1.0), step.DownDuring(t, t + 1.0));
   }
   EXPECT_EQ(ahead.CountUpTo(10000.0), step.CountUpTo(10000.0));
+}
+
+TEST(FaultWindowsTest, ForgettingKeepsAnswersAndBoundsMemory) {
+  // A client's queries only move forward, so windows behind its clock
+  // can go: across 10^6 monotone queries the forgetting schedule answers
+  // exactly like one that keeps every window, while holding only the
+  // few windows ahead of the floor.
+  const Rng master(5);
+  fault::FaultWindows kept(
+      fault::FaultStream(master, 2, fault::Purpose::kCrash), 40.0, 15.0);
+  fault::FaultWindows forgetful(
+      fault::FaultStream(master, 2, fault::Purpose::kCrash), 40.0, 15.0);
+  size_t most_retained = 0;
+  double t = 0.0;
+  for (int i = 0; i < 1000000; ++i) {
+    t += 0.75;
+    forgetful.ForgetBefore(t - 1.0);
+    ASSERT_EQ(kept.DownDuring(t, t + 1.0), forgetful.DownDuring(t, t + 1.0));
+    ASSERT_EQ(kept.ClearTime(t), forgetful.ClearTime(t));
+    ASSERT_EQ(kept.CountUpTo(t + 2.0), forgetful.CountUpTo(t + 2.0));
+    most_retained = std::max(most_retained, forgetful.retained());
+  }
+  // About 13,600 windows opened by the end; the forgetful copy never
+  // held more than a handful of them at once.
+  EXPECT_GT(kept.retained(), 13000u);
+  EXPECT_LE(most_retained, 4u);
+}
+
+TEST(FaultWindowsDeathTest, QueryBelowTheFloorDies) {
+  fault::FaultWindows w(
+      fault::FaultStream(Rng(3), 0, fault::Purpose::kCrash), 40.0, 5.0);
+  w.ForgetBefore(100.0);
+  w.ForgetBefore(50.0);  // a lower floor leaves the floor where it is
+  EXPECT_DEATH(w.DownDuring(99.0, 101.0), "below the floor");
+  EXPECT_DEATH(w.ClearTime(99.0), "below the floor");
+  EXPECT_DEATH(w.CountUpTo(99.0), "below the floor");
 }
 
 TEST(FaultWindowsTest, ClearTimeIsOutsideEveryWindow) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <vector>
 
 namespace bcast::obs {
 namespace {
@@ -152,6 +154,113 @@ TEST(LogHistogramTest, MergeOfDisjointRangesKeepsBothTails) {
   EXPECT_LE(small.Quantile(0.25), 2.0);
   EXPECT_GE(small.Quantile(0.75), 1000.0 / 2.0);
   EXPECT_LE(small.Quantile(0.49), small.Quantile(0.51));
+}
+
+// Bucket storage grows on demand, so histograms that saw different
+// ranges hold different stored prefixes. Every observable must still be
+// the same as if one histogram had recorded everything.
+void ExpectSameHistogram(const LogHistogram& got, const LogHistogram& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.sum(), want.sum());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+  const HistogramSummary g = got.Summary();
+  const HistogramSummary w = want.Summary();
+  EXPECT_EQ(g.count, w.count);
+  EXPECT_EQ(g.mean, w.mean);
+  EXPECT_EQ(g.p50, w.p50);
+  EXPECT_EQ(g.p90, w.p90);
+  EXPECT_EQ(g.p99, w.p99);
+  for (int i = 0; i <= 20; ++i) {
+    const double q = i / 20.0;
+    EXPECT_EQ(got.Quantile(q), want.Quantile(q)) << "q=" << q;
+  }
+  ASSERT_EQ(got.num_buckets(), want.num_buckets());
+  for (size_t i = 0; i < got.num_buckets(); ++i) {
+    EXPECT_EQ(got.bucket_count(i), want.bucket_count(i)) << "bucket " << i;
+  }
+}
+
+class LogHistogramStorageTest : public ::testing::Test {
+ protected:
+  // Top regular value 64: draws below 1 underflow, draws from 64 up
+  // overflow. Multiples of 1/16 keep every sum exact in any order.
+  static LogHistogram::Options Geometry() {
+    LogHistogram::Options options;
+    options.octaves = 6;
+    return options;
+  }
+
+  void SetUp() override {
+    std::mt19937_64 rng(2024);
+    for (int i = 0; i < 1500; ++i) {
+      short_values_.push_back(static_cast<double>(rng() % 128) / 16.0);
+    }
+    for (int i = 0; i < 1500; ++i) {
+      long_values_.push_back(static_cast<double>(rng() % 3200) / 16.0);
+    }
+    for (double v : short_values_) all_.Add(v);
+    for (double v : long_values_) all_.Add(v);
+  }
+
+  LogHistogram Fed(const std::vector<double>& values) const {
+    LogHistogram h(Geometry());
+    for (double v : values) h.Add(v);
+    return h;
+  }
+
+  std::vector<double> short_values_;  // [0, 8): underflow and low octaves
+  std::vector<double> long_values_;   // [0, 200): up into the overflow
+  LogHistogram all_{Geometry()};
+};
+
+TEST_F(LogHistogramStorageTest, FreshHistogramReadsEmptyOverItsGeometry) {
+  const LogHistogram h(Geometry());
+  EXPECT_EQ(h.num_buckets(), 2u + 6u * 16u);
+  for (size_t i = 0; i < h.num_buckets(); ++i) {
+    EXPECT_EQ(h.bucket_count(i), 0u) << "bucket " << i;
+  }
+  ExpectSameHistogram(h, LogHistogram(Geometry()));
+}
+
+TEST_F(LogHistogramStorageTest, DrawsCoverUnderflowAndOverflow) {
+  EXPECT_GT(all_.bucket_count(0), 0u);
+  EXPECT_GT(all_.bucket_count(all_.num_buckets() - 1), 0u);
+}
+
+TEST_F(LogHistogramStorageTest, EmptyIntoFull) {
+  LogHistogram full = Fed(short_values_);
+  for (double v : long_values_) full.Add(v);
+  full.Merge(LogHistogram(Geometry()));
+  ExpectSameHistogram(full, all_);
+}
+
+TEST_F(LogHistogramStorageTest, FullIntoEmpty) {
+  LogHistogram empty(Geometry());
+  empty.Merge(all_);
+  ExpectSameHistogram(empty, all_);
+}
+
+TEST_F(LogHistogramStorageTest, ShortIntoLong) {
+  LogHistogram merged = Fed(long_values_);
+  merged.Merge(Fed(short_values_));
+  ExpectSameHistogram(merged, all_);
+}
+
+TEST_F(LogHistogramStorageTest, LongIntoShort) {
+  LogHistogram merged = Fed(short_values_);
+  merged.Merge(Fed(long_values_));
+  ExpectSameHistogram(merged, all_);
+}
+
+TEST_F(LogHistogramStorageTest, ResetThenRefill) {
+  LogHistogram h = Fed(long_values_);
+  h.Reset();
+  ExpectSameHistogram(h, LogHistogram(Geometry()));
+  for (double v : short_values_) h.Add(v);
+  ExpectSameHistogram(h, Fed(short_values_));
+  for (double v : long_values_) h.Add(v);
+  ExpectSameHistogram(h, all_);
 }
 
 TEST(LinearHistogramTest, EmptyQuantilesAreZero) {
