@@ -58,8 +58,9 @@ void BM_TraceShouldSample(benchmark::State& state) {
   std::ostringstream sink_out;
   obs::TraceSink sink(&sink_out, /*sample=*/0.1, obs::TraceFormat::kJsonl,
                       /*seed=*/42);
+  uint64_t ordinal = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sink.ShouldSample());
+    benchmark::DoNotOptimize(sink.ShouldSample(/*client=*/0, ++ordinal));
   }
   state.SetItemsProcessed(state.iterations());
 }

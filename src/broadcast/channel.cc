@@ -13,6 +13,24 @@ BroadcastChannel::BroadcastChannel(des::Simulation* sim,
   served_per_disk_.assign(program->num_disks(), 0);
 }
 
+void BroadcastChannel::EnableResync() {
+  resync_enabled_ = true;
+  if (sim_->lanes() == 1 || !lane_views_.empty()) return;
+  lane_views_.assign(sim_->lanes(), LaneView{program_, origin_, nullptr,
+                                             nullptr});
+  sim_->OnLaneSwitch(
+      [this](uint32_t from, uint32_t to) { SwitchLane(from, to); });
+}
+
+void BroadcastChannel::SwitchLane(uint32_t from, uint32_t to) {
+  lane_views_[from] = LaneView{program_, origin_, active_head_, active_tail_};
+  const LaneView& view = lane_views_[to];
+  program_ = view.program;
+  origin_ = view.origin;
+  active_head_ = view.head;
+  active_tail_ = view.tail;
+}
+
 bool BroadcastChannel::PageAwaiter::await_suspend(std::coroutine_handle<> h) {
   const double now = channel_->sim_->Now();
   if (receiver_ == nullptr && channel_->pull_ == nullptr) {

@@ -65,8 +65,11 @@ class BroadcastChannel {
   /// Tracks every in-flight stateful wait so `SetProgram` can re-arm it.
   /// Must be called before any waits start; only waits that carry a
   /// receiver or race a pull server are tracked (the adaptive control
-  /// plane guarantees one of the two by validation).
-  void EnableResync() { resync_enabled_ = true; }
+  /// plane guarantees one of the two by validation). On a simulation
+  /// with several lanes, each lane then gets its own view of the program
+  /// (program, cycle origin, in-flight waits), switched with the lane:
+  /// a version bump in one lane must not re-phase the others.
+  void EnableResync();
 
   /// Switches the on-air schedule to \p program at simulated time \p now
   /// (an epoch boundary: every slot of the old program has ended). The
@@ -188,6 +191,17 @@ class BroadcastChannel {
   bool resync_enabled_ = false;
   PageAwaiter* active_head_ = nullptr;
   PageAwaiter* active_tail_ = nullptr;
+
+  // The lane-dependent state of the channel, saved per lane while
+  // another lane is entered (resync mode on a multi-lane simulation).
+  struct LaneView {
+    const BroadcastProgram* program;
+    double origin;
+    PageAwaiter* head;
+    PageAwaiter* tail;
+  };
+  void SwitchLane(uint32_t from, uint32_t to);
+  std::vector<LaneView> lane_views_;
   std::vector<uint64_t> served_per_disk_;
   uint64_t total_served_ = 0;
   bool last_wait_via_pull_ = false;

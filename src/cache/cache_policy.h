@@ -99,7 +99,9 @@ class CachePolicy {
 
   /// \brief Observer of evictions: called with the victim page and the
   /// policy's eviction score for it (the lix value for LIX, the static
-  /// value for P/PIX, 0 for score-free policies like LRU).
+  /// value for P/PIX, the credit for GreedyDual, the ranking value for
+  /// LRU-K, 0 for score-free policies like LRU, CLOCK and 2Q). Every
+  /// policy reports every eviction.
   ///
   /// Installed only when tracing is on; with no callback set the eviction
   /// path pays a single predictable branch.

@@ -39,11 +39,13 @@ void ClockCache::Insert(PageId page, double /*now*/) {
       hand_ = (hand_ + 1) % slots_.size();
       continue;
     }
-    slot_of_[s.page] = -1;
+    const PageId victim = s.page;
+    slot_of_[victim] = -1;
     s.page = page;
     s.referenced = true;
     slot_of_[page] = static_cast<int64_t>(hand_);
     hand_ = (hand_ + 1) % slots_.size();
+    NotifyEviction(victim, 0.0);
     return;
   }
 }

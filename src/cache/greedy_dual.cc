@@ -52,8 +52,10 @@ void GreedyDualCache::Insert(PageId page, double /*now*/) {
     // The victim's credit becomes the new inflation level: everything
     // still cached is now worth "credit - L" in effective terms.
     inflation_ = victim->first;
-    cached_[victim->second] = false;
+    const PageId victim_page = victim->second;
+    cached_[victim_page] = false;
     ordered_.erase(victim);
+    NotifyEviction(victim_page, inflation_);
   }
   Refresh(page);
 }

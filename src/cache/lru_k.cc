@@ -105,6 +105,7 @@ void LruKCache::Insert(PageId page, double now) {
     ChainErase(victim);
     cached_[victim] = false;
     --size_;
+    NotifyEviction(victim, victim_value);
   }
   History& h = history_[page];
   h.times.clear();

@@ -64,8 +64,10 @@ void TwoQCache::ReclaimSlot() {
     if (catalog().Frequency(a1_victim) >= catalog().Frequency(am_victim)) {
       a1in_.Remove(a1_victim);
       PushGhost(a1_victim);
+      NotifyEviction(a1_victim, 0.0);
     } else {
       am_.Remove(am_victim);
+      NotifyEviction(am_victim, 0.0);
     }
     return;
   }
@@ -73,9 +75,11 @@ void TwoQCache::ReclaimSlot() {
   if (a1_victim != kEmptySlot) {
     a1in_.Remove(a1_victim);
     PushGhost(a1_victim);
+    NotifyEviction(a1_victim, 0.0);
   } else {
     BCAST_CHECK_NE(am_victim, kEmptySlot);
     am_.Remove(am_victim);
+    NotifyEviction(am_victim, 0.0);
   }
 }
 

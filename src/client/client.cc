@@ -113,7 +113,10 @@ des::Process Client::Run() {
     }
     ++(warming ? warmup_requests_ : measured);
     const PageId logical = gen_->NextPage();
-    const bool sampled = config_.trace && config_.trace->ShouldSample();
+    const bool sampled =
+        config_.trace &&
+        config_.trace->ShouldSample(config_.client_id,
+                                    warmup_requests_ + measured);
     const double start = sim_->Now();
     const bool hit = cache_->Lookup(logical, start);
     // A hit on a copy the update model knows is stale is re-fetched.

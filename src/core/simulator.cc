@@ -176,14 +176,58 @@ void VersionTicker::Start(des::Simulation* sim, BroadcastChannel* channel,
                           double every) {
   if (every <= 0.0) return;
   channel->EnableResync();
+  lane_bumps_.assign(sim->lanes(), 0);
+  lane_events_.assign(sim->lanes(), 0);
   tick_ = [this, sim, channel, every]() {
     ++events_;
-    if (sim->live_processes() == 0) return;
+    ++lane_events_[sim->lane()];
+    if (sim->lane_live_processes() == 0) return;
     channel->SetProgram(&channel->program(), sim->Now());
-    ++bumps_;
+    ++lane_bumps_[sim->lane()];
     sim->Schedule(every, tick_, des::EventKind::kController);
   };
-  sim->Schedule(every, tick_, des::EventKind::kController);
+  for (uint32_t lane = 0; lane < sim->lanes(); ++lane) {
+    sim->EnterLane(lane);
+    sim->Schedule(every, tick_, des::EventKind::kController);
+  }
+}
+
+uint64_t VersionTicker::bumps() const {
+  uint64_t most = 0;
+  for (uint64_t b : lane_bumps_) most = std::max(most, b);
+  return most;
+}
+
+uint64_t VersionTicker::max_lane_events() const {
+  uint64_t most = 0;
+  for (uint64_t e : lane_events_) most = std::max(most, e);
+  return most;
+}
+
+Status CheckVersionCadence(const fault::ProcessFaultParams& process,
+                           const BroadcastProgram& program,
+                           const Mapping& mapping, uint64_t access_range,
+                           uint64_t client) {
+  const double every = process.version_every;
+  if (every <= 0.0) return Status::OK();
+  for (PageId logical = 0; logical < access_range; ++logical) {
+    const PageId physical = mapping.ToPhysical(logical);
+    const double first_air = program.NextArrivalStart(physical, 0.0);
+    if (first_air + 1.0 + process.slot_jitter > every) {
+      return Status::InvalidArgument(StrFormat(
+          "--version_every=%g starves client %llu's page %llu (physical "
+          "%llu): it first airs %g slots into the %llu-slot program cycle, "
+          "and each version bump restarts the cycle before that "
+          "transmission can end (first air + 1 slot + slot_jitter %g must "
+          "be <= version_every)",
+          every, static_cast<unsigned long long>(client),
+          static_cast<unsigned long long>(logical),
+          static_cast<unsigned long long>(physical), first_air,
+          static_cast<unsigned long long>(program.period()),
+          process.slot_jitter));
+    }
+  }
+  return Status::OK();
 }
 
 Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
@@ -208,6 +252,9 @@ Status BuildClientParts(const WorldShared& shared, const ClientInputs& in,
       Mapping::Make(*shared.layout, effective_offset, noise, in.noise_rng);
   if (!mapping.ok()) return mapping.status();
   out->mapping = std::make_unique<Mapping>(std::move(*mapping));
+  BCAST_RETURN_IF_ERROR(CheckVersionCadence(params.fault.process,
+                                            *shared.program, *out->mapping,
+                                            spec.access_range, in.id));
 
   Result<AccessGenerator> gen = AccessGenerator::Make(
       spec.access_range, spec.region_size, spec.theta, spec.think_time,

@@ -404,28 +404,47 @@ ServerWorld BuildServerWorld(const MultiClientParams& params,
 /// \brief The schedule-version chain of `fault.process.version_every`:
 /// every `every` slots the server re-announces its program (same
 /// content, new epoch), which re-arms every in-flight wait through the
-/// resync path. The chain dies with the simulation's last live process,
-/// so the event queue still drains.
+/// resync path. Each lane of the simulation runs its own chain, which
+/// dies with the lane's last live process, so the event queue still
+/// drains.
 class VersionTicker {
  public:
   VersionTicker() = default;
   VersionTicker(const VersionTicker&) = delete;
   VersionTicker& operator=(const VersionTicker&) = delete;
 
-  /// Arms the chain on \p channel; does nothing when \p every is 0.
+  /// Arms one chain per lane of \p sim on \p channel (entering each
+  /// lane in turn); does nothing when \p every is 0.
   void Start(des::Simulation* sim, BroadcastChannel* channel, double every);
 
-  /// Re-announces performed.
-  uint64_t bumps() const { return bumps_; }
+  /// Re-announces performed by the longest chain.
+  uint64_t bumps() const;
 
-  /// Tick events fired: every bump plus the final dead-chain firing.
+  /// Tick events fired, all chains: every bump plus each chain's final
+  /// dead firing.
   uint64_t events() const { return events_; }
+
+  /// Tick events fired by the longest chain.
+  uint64_t max_lane_events() const;
 
  private:
   std::function<void()> tick_;
-  uint64_t bumps_ = 0;
   uint64_t events_ = 0;
+  std::vector<uint64_t> lane_bumps_;
+  std::vector<uint64_t> lane_events_;
 };
+
+/// \brief Rejects a schedule-version cadence under which client \p client
+/// could wait forever: a version bump re-phases \p program (its cycle
+/// restarts at the bump), so a requested page is received on push only
+/// if its first transmission in a cycle — start offset, one slot of air,
+/// and up to `slot_jitter` of smeared completion — ends by the next
+/// bump. Checks every page the client can request (its logical pages
+/// [0, \p access_range) through \p mapping); OK when bumps are off.
+Status CheckVersionCadence(const fault::ProcessFaultParams& process,
+                           const BroadcastProgram& program,
+                           const Mapping& mapping, uint64_t access_range,
+                           uint64_t client);
 
 /// \brief Builds the parts of client `in.id` that need no simulation —
 /// mapping, access generator, catalog, cache and (active faults)

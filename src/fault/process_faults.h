@@ -14,7 +14,9 @@
 #ifndef BCAST_FAULT_PROCESS_FAULTS_H_
 #define BCAST_FAULT_PROCESS_FAULTS_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -109,10 +111,17 @@ class ServerFaultPlane {
   double StallClearTime(double t);
 
   /// No later query asks about an instant before \p t (see
-  /// `FaultWindows::ForgetBefore`).
+  /// `FaultWindows::ForgetBefore`) — capped at `CapFloor`'s bound.
   void ForgetBefore(double t) {
-    if (stalls_.has_value()) stalls_->ForgetBefore(t);
+    if (stalls_.has_value()) stalls_->ForgetBefore(std::min(t, floor_cap_));
   }
+
+  /// Keeps `ForgetBefore` from raising the floor above \p cap. Clients
+  /// that share the plane but run one after another (the lanes of a
+  /// population shard) each promise only about their own clock; the
+  /// owner caps the floor at the earliest clock any of them may still
+  /// query from. Unbounded by default.
+  void CapFloor(double cap) { floor_cap_ = cap; }
 
   /// The (possibly jittered) completion time of a transmission whose
   /// nominal completion is \p nominal_end. Equal to \p nominal_end when
@@ -121,6 +130,7 @@ class ServerFaultPlane {
 
  private:
   std::optional<FaultWindows> stalls_;
+  double floor_cap_ = std::numeric_limits<double>::infinity();
   double jitter_;
   uint64_t jitter_salt_;
 };

@@ -8,10 +8,11 @@
 namespace bcast::obs {
 namespace {
 
-// splitmix64: tiny, well-mixed, and independent of common/rng.h so the
-// trace sampler can never perturb simulation randomness.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+// splitmix64's step and finalizer: tiny, well-mixed, and independent
+// of common/rng.h so the trace sampler can never perturb simulation
+// randomness.
+uint64_t SplitMix64(uint64_t x) {
+  uint64_t z = x + 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
@@ -31,7 +32,7 @@ TraceSink::TraceSink(std::ostream* out, double sample, TraceFormat format,
     : out_(out),
       sample_(sample < 0.0 ? 0.0 : (sample > 1.0 ? 1.0 : sample)),
       format_(format),
-      sampler_state_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
+      sampler_key_(SplitMix64(seed ^ 0xA5A5A5A55A5A5A5Aull)) {
   BCAST_CHECK(out != nullptr);
   if (format_ == TraceFormat::kCsv) {
     *out_ << "time,page,hit,warmup,wait_slots,disk,victim,victim_score,"
@@ -45,7 +46,7 @@ TraceSink::TraceSink(std::ofstream file, double sample, TraceFormat format,
       out_(&file_),
       sample_(sample < 0.0 ? 0.0 : (sample > 1.0 ? 1.0 : sample)),
       format_(format),
-      sampler_state_(seed ^ 0xA5A5A5A55A5A5A5Aull) {
+      sampler_key_(SplitMix64(seed ^ 0xA5A5A5A55A5A5A5Aull)) {
   if (format_ == TraceFormat::kCsv) {
     *out_ << "time,page,hit,warmup,wait_slots,disk,victim,victim_score,"
              "client\n";
@@ -66,14 +67,17 @@ Result<std::unique_ptr<TraceSink>> TraceSink::Open(const std::string& path,
 
 TraceSink::~TraceSink() { Flush(); }
 
-bool TraceSink::ShouldSample() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++offered_;
+bool TraceSink::ShouldSample(uint32_t client, uint64_t ordinal) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++offered_;
+  }
   if (sample_ >= 1.0) return true;
   if (sample_ <= 0.0) return false;
+  const uint64_t coin =
+      SplitMix64(SplitMix64(sampler_key_ ^ client) ^ ordinal);
   // 53 high bits -> uniform double in [0, 1).
-  const double u =
-      static_cast<double>(SplitMix64(&sampler_state_) >> 11) * 0x1.0p-53;
+  const double u = static_cast<double>(coin >> 11) * 0x1.0p-53;
   return u < sample_;
 }
 

@@ -8,11 +8,13 @@
 /// Downstream tooling (pattern miners, fairness analyses, schedule
 /// tuners) consumes the stream without re-running the simulator.
 ///
-/// Sampling is deterministic: the sink owns a splitmix64 stream seeded
-/// from the run seed, and `ShouldSample()` advances it once per request,
-/// so two runs with identical seeds trace identical request subsets.
-/// With sampling off (`sample = 0`) the sink records nothing and the
-/// client's fast path stays a null-pointer check.
+/// Sampling is deterministic and order-free: the coin of a request is a
+/// splitmix64 hash of (trace seed, client, request ordinal), so two runs
+/// with identical seeds trace identical request subsets however their
+/// clients' requests interleave — across shard threads, or client by
+/// client within a population shard. With sampling off (`sample = 0`) the
+/// sink records nothing and the client's fast path stays a null-pointer
+/// check.
 
 #ifndef BCAST_OBS_TRACE_H_
 #define BCAST_OBS_TRACE_H_
@@ -88,11 +90,13 @@ class TraceSink {
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
-  /// Flips the sampling coin for the next request; call exactly once per
-  /// request so `offered()` counts the full request stream.
-  bool ShouldSample();
+  /// The sampling coin of request \p ordinal (its 1-based position in
+  /// the client's request stream, warm-up included) of client
+  /// \p client; call exactly once per request so `offered()` counts the
+  /// full request stream. Thread-safe.
+  bool ShouldSample(uint32_t client, uint64_t ordinal);
 
-  /// Writes one record (call only after `ShouldSample()` returned true).
+  /// Writes one record (call only after `ShouldSample` returned true).
   void Record(const RequestEvent& event);
 
   /// Requests offered to the sampler so far.
@@ -111,16 +115,15 @@ class TraceSink {
   TraceSink(std::ofstream file, double sample, TraceFormat format,
             uint64_t seed);
 
-  // Serializes the sampler and the stream across population-engine
-  // shards. Under the multi-shard engine the coin-flip order follows
-  // thread interleaving, so the *sampled subset* is only deterministic
-  // on single-threaded paths; the run report never depends on it.
+  // Serializes the stream and the counters across population-engine
+  // shards: records of different shards interleave in thread order, but
+  // which requests are sampled never depends on it.
   std::mutex mu_;
   std::ofstream file_;  // backing storage when Open()ed; else unused
   std::ostream* out_;
   double sample_;
   TraceFormat format_;
-  uint64_t sampler_state_;
+  uint64_t sampler_key_;  // the seed, mixed
   uint64_t offered_ = 0;
   uint64_t recorded_ = 0;
 };

@@ -240,8 +240,8 @@ Result<SimResult> RunPopulationSimulation(
   timings.setup_seconds = setup_watch.ElapsedSeconds();
 
   // Merged DES event count: shard events minus engine infrastructure
-  // (delivery mirrors; all but the longest version-tick chain, which
-  // stands in for one population-wide chain) plus the server
+  // (delivery mirrors; all but the longest client's version-tick chain,
+  // which stands in for one population-wide chain) plus the server
   // simulation's own events. On uncoupled configurations this equals
   // the count of one simulation holding every client, whatever K is.
   auto merged_events = [&]() {
@@ -250,7 +250,7 @@ Result<SimResult> RunPopulationSimulation(
     for (const auto& shard : shards) {
       events += shard->sim().events_dispatched() - shard->mirrors_fired() -
                 shard->vtick_events();
-      max_vticks = std::max(max_vticks, shard->vtick_events());
+      max_vticks = std::max(max_vticks, shard->max_lane_vtick_events());
     }
     return events + max_vticks;
   };
@@ -464,7 +464,7 @@ Result<SimResult> RunPopulationSimulation(
 
   double end_time = server_sim.Now();
   for (const auto& shard : shards) {
-    end_time = std::max(end_time, shard->sim().Now());
+    end_time = std::max(end_time, shard->sim().frontier());
   }
   end_time = std::max(end_time, last_stats_time);
 

@@ -16,11 +16,18 @@
 /// admission accounting and per-client uplink loss draws are identical
 /// for every shard count.
 ///
-/// `Deliver` is a verbatim mirror of `PullServer::DeliverPage` —
-/// detach-then-offer with re-registration on refusal — except the
-/// consumed-offer count lands in a shard-local counter that the engine
-/// sums into the merged stats (hub order is irrelevant: the counter is
-/// an integer).
+/// The shard runs its clients as lanes of one simulation (pop/shard.h),
+/// so a mirror goes only to the lanes that wait on its page: at round
+/// start, each queued mirror takes the next sequence number and is
+/// scheduled into every lane the waiter table lists for its page; a lane
+/// that starts waiting on the page later in the round gets it then, with
+/// the same sequence number, unless the lane has already passed it. Each
+/// lane thus sees the mirror at the (time, sequence) position a shard of
+/// its own would. A delivery is a verbatim mirror of
+/// `PullServer::DeliverPage` — detach-then-offer with re-registration on
+/// refusal — for the lane's own waiters, and the consumed-offer count
+/// lands in a shard-local counter that the engine sums into the merged
+/// stats (hub order is irrelevant: the counter is an integer).
 
 #ifndef BCAST_POP_PULL_HUB_H_
 #define BCAST_POP_PULL_HUB_H_
@@ -30,6 +37,7 @@
 #include <vector>
 
 #include "broadcast/types.h"
+#include "des/simulation.h"
 #include "pop/spsc_queue.h"
 #include "pull/pull_client.h"
 #include "pull/pull_sink.h"
@@ -48,23 +56,30 @@ struct UplinkMsg {
 /// \brief Shard-local waiter table + uplink forwarding for one shard.
 class ShardPullHub : public pull::WaiterRegistry {
  public:
+  /// \p sim is the shard's simulation (its lanes are the clients).
   /// \p enabled mirrors `PullServer::enabled()`: whether the program
   /// carries pull capacity at all. \p service_interval is the initial
   /// mean slots between pull-slot starts (updated at program switches
   /// via `set_service_interval`, always at a round boundary).
-  ShardPullHub(bool enabled, double service_interval)
-      : enabled_(enabled), service_interval_(service_interval) {}
+  ShardPullHub(des::Simulation* sim, bool enabled, double service_interval)
+      : sim_(sim), enabled_(enabled), service_interval_(service_interval) {}
 
-  // pull::WaiterRegistry — called re-entrantly from the shard's channel.
-  void AddWaiter(PageId page, pull::PullSink* sink) override {
-    waiters_[page].push_back(sink);
-  }
+  // pull::WaiterRegistry — called re-entrantly from the shard's channel,
+  // in the waiting client's lane.
+  void AddWaiter(PageId page, pull::PullSink* sink) override;
   void RemoveWaiter(PageId page, pull::PullSink* sink) override;
 
-  /// Mirror of `PullServer::DeliverPage`: the coordinator's server
-  /// transmitted \p page in a pull slot ending at \p end; offer it to
-  /// this shard's waiters.
-  void Deliver(PageId page, double end);
+  /// Coordinator side, between rounds: the coordinator's pull server
+  /// transmitted \p page in a pull slot ending at \p end (strictly after
+  /// the barrier that produced it).
+  void QueueMirror(PageId page, double end) {
+    queued_.push_back(Mirror{page, end, 0, {}});
+  }
+
+  /// Shard side, at the top of a round that starts at \p round_start:
+  /// routes the queued mirrors to the lanes waiting on their pages (see
+  /// the file comment). Enters each such lane.
+  void RouteMirrors(double round_start);
 
   /// Transport for client \p client_id: submits land in this shard's
   /// queue, delivery/latency accounting lands in \p stats (the client's
@@ -81,14 +96,43 @@ class ShardPullHub : public pull::WaiterRegistry {
   /// Consumed pull-delivery offers on this shard.
   uint64_t pull_deliveries() const { return pull_deliveries_; }
 
+  /// Mirror events fired, all lanes — engine infrastructure the merged
+  /// event count leaves out.
+  uint64_t mirrors_fired() const { return mirrors_fired_; }
+
   /// The shard→coordinator uplink queue (drained at barriers).
   SpscQueue<UplinkMsg>& queue() { return queue_; }
 
  private:
+  struct Waiter {
+    pull::PullSink* sink;
+    uint32_t lane;
+  };
+  // A mirror of a pull transmission. Once routed: its sequence number
+  // and the lanes it is scheduled in (sorted).
+  struct Mirror {
+    PageId page;
+    double end;
+    uint64_t seq;
+    std::vector<uint32_t> lanes;
+  };
+
+  // Schedules \p m into the entered lane.
+  void ScheduleMirror(const Mirror& m);
+
+  // Mirror of `PullServer::DeliverPage` for the entered lane's waiters
+  // on \p page.
+  void Deliver(PageId page, double end);
+
+  des::Simulation* sim_;
   bool enabled_;
   double service_interval_;
   uint64_t pull_deliveries_ = 0;
-  std::unordered_map<PageId, std::vector<pull::PullSink*>> waiters_;
+  uint64_t mirrors_fired_ = 0;
+  std::unordered_map<PageId, std::vector<Waiter>> waiters_;
+  std::vector<Mirror> queued_;   // not routed yet
+  std::vector<Mirror> mirrors_;  // routed, and may still reach a lane
+  std::vector<pull::PullSink*> detached_;  // Deliver's scratch list
   SpscQueue<UplinkMsg> queue_;
 };
 

@@ -1,5 +1,6 @@
 #include "pop/shard.h"
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,8 +24,10 @@ Shard::Shard(uint64_t index, uint64_t begin, uint64_t end,
       end_(end),
       shared_(shared),
       store_(store),
+      sim_(static_cast<uint32_t>(end - begin)),
       channel_(&sim_, shared.program) {
   BCAST_CHECK(begin < end);
+  BCAST_CHECK_LE(end - begin, uint64_t{UINT32_MAX});
   if (shared_.profile_des) sim_.EnableProfiling();
   sim_.AttachTimeline(shared_.timeline);
   BCAST_TIMELINE(shared_.timeline,
@@ -32,7 +35,7 @@ Shard::Shard(uint64_t index, uint64_t begin, uint64_t end,
                            "shard" + std::to_string(index)));
   const MultiClientParams& params = *shared_.params;
   if (params.pull.Active()) {
-    hub_ = std::make_unique<ShardPullHub>(shared_.pull_enabled,
+    hub_ = std::make_unique<ShardPullHub>(&sim_, shared_.pull_enabled,
                                           shared_.service_interval);
     if (shared_.pull_enabled) channel_.AttachPullServer(hub_.get());
   }
@@ -79,18 +82,21 @@ Status Shard::Build(const Rng& master) {
     BCAST_RETURN_IF_ERROR(
         BuildClientWorld(shared_, std::move(inputs), &worlds_[c - begin_]));
   }
-  for (auto& world : worlds_) sim_.Spawn(world.client->Run());
+  for (uint64_t c = begin_; c < end_; ++c) {
+    sim_.EnterLane(static_cast<uint32_t>(c - begin_));
+    sim_.Spawn(worlds_[c - begin_].client->Run());
+  }
 
-  // Shard-local version chain; it dies with this shard's last client.
-  // The population-wide bump count is the max over shards — the
-  // longest-living shard ticks exactly as long as one population-wide
-  // chain would.
+  // One version chain per client lane; each dies with its client. The
+  // population-wide bump count is the max over lanes — the
+  // longest-living client's chain ticks exactly as long as one
+  // population-wide chain would.
   version_ticker_.Start(&sim_, &channel_, params.fault.process.version_every);
   return Status::OK();
 }
 
 void Shard::QueueMirror(PageId page, double end) {
-  pending_mirrors_.push_back(PendingMirror{page, end});
+  hub_->QueueMirror(page, end);
 }
 
 void Shard::QueueSwitch(const BroadcastProgram* program,
@@ -101,9 +107,13 @@ void Shard::QueueSwitch(const BroadcastProgram* program,
 void Shard::ApplyMailbox() {
   // Switches first: a mirror delivered under the new program must see
   // the channel already resynced: the switch happened at the epoch tick,
-  // the delivery at a strictly later event.
+  // the delivery at a strictly later event. Every lane re-arms its own
+  // in-flight wait.
   for (const PendingSwitch& sw : pending_switches_) {
-    channel_.SetProgram(sw.program, sw.at);
+    for (uint32_t lane = 0; lane < sim_.lanes(); ++lane) {
+      sim_.EnterLane(lane);
+      channel_.SetProgram(sw.program, sw.at);
+    }
     if (hub_ != nullptr) hub_->set_service_interval(sw.service_interval);
     BCAST_TIMELINE(shared_.timeline,
                    Instant(obs::track::Shard(static_cast<uint32_t>(index_)),
@@ -111,29 +121,25 @@ void Shard::ApplyMailbox() {
                            {{"shard", static_cast<double>(index_)}}));
   }
   pending_switches_.clear();
-  for (const PendingMirror& m : pending_mirrors_) {
-    sim_.ScheduleAt(
-        m.end,
-        [this, m]() {
-          ++mirrors_fired_;
-          hub_->Deliver(m.page, m.end);
-        },
-        des::EventKind::kPull);
-  }
-  pending_mirrors_.clear();
+  if (hub_ != nullptr) hub_->RouteMirrors(round_start_);
 }
 
 void Shard::RunRound(double barrier, bool to_completion) {
   ApplyMailbox();
+  // A later lane may still query the stall windows from the round start
+  // on, however far the lanes before it ran.
+  if (server_faults_ != nullptr && sim_.lanes() > 1) {
+    server_faults_->CapFloor(round_start_ - 1.0);
+  }
   if (to_completion) {
-    sim_.Run();
+    sim_.RunLanes(std::numeric_limits<double>::infinity());
   } else {
-    sim_.RunUntil(barrier);
+    sim_.RunLanes(barrier);
+    round_start_ = barrier;
   }
   BCAST_TIMELINE(shared_.timeline,
                  Counter(obs::track::Shard(static_cast<uint32_t>(index_)),
-                         "shard_unfinished",
-                         to_completion ? sim_.Now() : barrier,
+                         "shard_unfinished", sim_.frontier(),
                          static_cast<double>(unfinished())));
 }
 

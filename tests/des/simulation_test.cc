@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <coroutine>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace bcast::des {
@@ -357,6 +359,176 @@ TEST(EventKindTest, EveryKindHasAName) {
   }
   EXPECT_STREQ(EventKindName(EventKind::kSlot), "slot");
   EXPECT_STREQ(EventKindName(EventKind::kController), "controller");
+}
+
+// --- Lanes -------------------------------------------------------------
+
+TEST(LaneTest, RunLanesRunsEachLaneInTurnOnItsOwnClock) {
+  Simulation sim(3);
+  std::vector<std::string> order;
+  auto at = [&](uint32_t lane, double t, const std::string& tag) {
+    sim.EnterLane(lane);
+    sim.ScheduleAt(t, [&, lane, t, tag] {
+      EXPECT_EQ(sim.lane(), lane);
+      EXPECT_DOUBLE_EQ(sim.Now(), t);
+      order.push_back(tag);
+    });
+  };
+  at(0, 5.0, "a5");
+  at(0, 9.0, "a9");
+  at(1, 2.0, "b2");
+  // Lane order, not time order: lane 0 runs to the end before lane 1.
+  sim.RunLanes(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(order, (std::vector<std::string>{"a5", "a9", "b2"}));
+  EXPECT_DOUBLE_EQ(sim.frontier(), 9.0);
+  EXPECT_EQ(sim.events_dispatched(), 3u);
+}
+
+TEST(LaneTest, RunLanesStopsEveryLaneAtTheBound) {
+  Simulation sim(2);
+  std::vector<std::string> order;
+  for (uint32_t lane : {0u, 1u}) {
+    sim.EnterLane(lane);
+    for (double t : {1.0 + lane, 3.0 + lane}) {
+      sim.ScheduleAt(t, [&order, lane, t] {
+        order.push_back(std::to_string(lane) + "@" +
+                        std::to_string(static_cast<int>(t)));
+      });
+    }
+  }
+  sim.RunLanes(2.5);
+  EXPECT_EQ(order, (std::vector<std::string>{"0@1", "1@2"}));
+  // Every lane's clock is at the bound, entered or not.
+  for (uint32_t lane : {0u, 1u}) {
+    sim.EnterLane(lane);
+    EXPECT_DOUBLE_EQ(sim.Now(), 2.5);
+  }
+  sim.RunLanes(10.0);
+  EXPECT_EQ(order, (std::vector<std::string>{"0@1", "1@2", "0@3", "1@4"}));
+}
+
+TEST(LaneTest, LanesWithNothingDueAreNotEntered) {
+  Simulation sim(4);
+  sim.EnterLane(2);
+  sim.ScheduleAt(7.0, [] {});
+  std::vector<uint32_t> entered;
+  sim.OnLaneSwitch([&](uint32_t, uint32_t to) { entered.push_back(to); });
+  sim.EnterLane(0);
+  entered.clear();
+  sim.RunLanes(5.0);
+  EXPECT_TRUE(entered.empty());
+  sim.RunLanes(8.0);
+  EXPECT_EQ(entered, (std::vector<uint32_t>{2}));
+}
+
+TEST(LaneTest, SwitchHookSeesEveryLaneChange) {
+  Simulation sim(3);
+  std::vector<std::pair<uint32_t, uint32_t>> switches;
+  sim.OnLaneSwitch([&](uint32_t from, uint32_t to) {
+    switches.emplace_back(from, to);
+  });
+  sim.EnterLane(2);
+  sim.EnterLane(2);  // no change, no call
+  sim.EnterLane(1);
+  EXPECT_EQ(switches, (std::vector<std::pair<uint32_t, uint32_t>>{
+                          {0, 2}, {2, 1}}));
+}
+
+TEST(LaneTest, ReservedSequenceSortsAsIfScheduledWhenReserved) {
+  Simulation sim(2);
+  std::vector<std::string> order;
+  sim.ScheduleAt(5.0, [&] { order.push_back("early"); });
+  const uint64_t seq = sim.ReserveSequence();
+  sim.ScheduleAt(5.0, [&] { order.push_back("late"); });
+  sim.ScheduleAtReserved(5.0, seq, [&] { order.push_back("reserved"); },
+                         EventKind::kPull);
+  // One reserved number serves every lane once.
+  sim.EnterLane(1);
+  sim.ScheduleAtReserved(5.0, seq, [&] { order.push_back("lane1"); },
+                         EventKind::kPull);
+  sim.RunLanes(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(order, (std::vector<std::string>{"early", "reserved", "late",
+                                             "lane1"}));
+}
+
+TEST(LaneTest, PassedComparesWithTheDispatchingEvent) {
+  Simulation sim;
+  const uint64_t before = sim.ReserveSequence();
+  sim.ScheduleAt(5.0, [&] {
+    const uint64_t after = sim.ReserveSequence();
+    EXPECT_TRUE(sim.Passed(4.0, after));
+    EXPECT_TRUE(sim.Passed(5.0, before));
+    EXPECT_FALSE(sim.Passed(5.0, after));
+    EXPECT_FALSE(sim.Passed(6.0, before));
+  });
+  sim.Run();
+}
+
+TEST(LaneTest, InlineWakeupsHavePassedEveryReservedSequence) {
+  // A wakeup that continues inline stands for an event scheduled at that
+  // instant, so anything reserved earlier at the same time has passed.
+  Simulation sim;
+  uint64_t reserved = 0;
+  bool checked = false;
+  auto proc = [&]() -> Process {
+    reserved = sim.ReserveSequence();
+    co_await sim.Delay(3.0);  // nothing queued: continues inline
+    EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
+    EXPECT_TRUE(sim.Passed(3.0, reserved));
+    checked = true;
+  };
+  sim.Spawn(proc());
+  sim.Run();
+  EXPECT_TRUE(checked);
+}
+
+TEST(LaneTest, CancelFindsTheEventsLane) {
+  Simulation sim(2);
+  sim.EnterLane(1);
+  bool fired = false;
+  const auto id = sim.ScheduleAt(3.0, [&] { fired = true; });
+  sim.EnterLane(0);
+  EXPECT_TRUE(sim.CancelEvent(id));
+  sim.RunLanes(std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(sim.events_dispatched(), 0u);
+}
+
+TEST(LaneTest, LiveProcessesCountPerLaneAndInTotal) {
+  Simulation sim(2);
+  auto proc = [&](double d) -> Process { co_await sim.Delay(d); };
+  sim.Spawn(proc(1.0));
+  sim.EnterLane(1);
+  sim.Spawn(proc(2.0));
+  sim.Spawn(proc(3.0));
+  EXPECT_EQ(sim.lane_live_processes(), 2u);
+  EXPECT_EQ(sim.live_processes(), 3u);
+  sim.EnterLane(0);
+  EXPECT_EQ(sim.lane_live_processes(), 1u);
+  sim.RunLanes(1.5);
+  EXPECT_EQ(sim.live_processes(), 2u);
+  sim.EnterLane(1);
+  EXPECT_EQ(sim.lane_live_processes(), 2u);
+  sim.RunLanes(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.live_processes(), 0u);
+  EXPECT_EQ(sim.lane_live_processes(), 0u);
+}
+
+TEST(LaneTest, FinishedLanesShareThePayloadSlab) {
+  // Many lanes run start to finish one after another: the payload slab
+  // holds what is pending at once, not what every lane ever scheduled.
+  constexpr uint32_t kLanes = 500;
+  Simulation sim(kLanes);
+  auto proc = [&]() -> Process {
+    for (int i = 0; i < 20; ++i) co_await sim.Delay(1.0);
+  };
+  for (uint32_t lane = 0; lane < kLanes; ++lane) {
+    sim.EnterLane(lane);
+    sim.Spawn(proc());
+  }
+  sim.RunLanes(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(sim.events_dispatched(), kLanes * 21u);
+  EXPECT_LE(sim.queue().allocated_slots(), kLanes + 2u);
 }
 
 TEST(SimulationDeathTest, NegativeDelayDies) {

@@ -10,7 +10,9 @@
 #include <cmath>
 #include <limits>
 
+#include "client/mapping.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "core/multi_client.h"
 #include "core/simulator.h"
 #include "fault/fault_model.h"
@@ -99,6 +101,41 @@ TEST(FaultWindowsDeathTest, QueryBelowTheFloorDies) {
   EXPECT_DEATH(w.DownDuring(99.0, 101.0), "below the floor");
   EXPECT_DEATH(w.ClearTime(99.0), "below the floor");
   EXPECT_DEATH(w.CountUpTo(99.0), "below the floor");
+}
+
+TEST(ServerFaultPlaneTest, CappedFloorServesClientsThatStartLater) {
+  // Population lanes share one plane but run one after another: the
+  // first runs far ahead and promises only about its own clock, and the
+  // next still asks from the round start. With the floor capped there,
+  // the later client's answers are those of a fresh plane.
+  fault::FaultParams params;
+  params.process.stall_every = 50.0;
+  params.process.stall_len = 5.0;
+  auto shared = fault::MakeServerFaultPlane(params);
+  auto fresh = fault::MakeServerFaultPlane(params);
+  ASSERT_NE(shared, nullptr);
+  shared->CapFloor(-1.0);
+  for (double t = 0.0; t < 5000.0; t += 7.0) {
+    shared->StalledDuring(t, t + 1.0);
+    shared->ForgetBefore(t - 1.0);
+  }
+  for (double t = 0.0; t < 5000.0; t += 3.0) {
+    ASSERT_EQ(shared->StalledDuring(t, t + 1.0),
+              fresh->StalledDuring(t, t + 1.0))
+        << "t=" << t;
+  }
+}
+
+TEST(ServerFaultPlaneDeathTest, UncappedFloorRejectsALaterClient) {
+  // Without the cap, the first client's promise binds the next one.
+  fault::FaultParams params;
+  params.process.stall_every = 50.0;
+  params.process.stall_len = 5.0;
+  auto plane = fault::MakeServerFaultPlane(params);
+  ASSERT_NE(plane, nullptr);
+  plane->StalledDuring(4000.0, 4001.0);
+  plane->ForgetBefore(3999.0);
+  EXPECT_DEATH(plane->StalledDuring(10.0, 11.0), "below the floor");
 }
 
 TEST(FaultWindowsTest, ClearTimeIsOutsideEveryWindow) {
@@ -247,6 +284,56 @@ TEST(ProcessFaultTest, VersionBumpsAreCountedAndHarmless) {
   EXPECT_TRUE(r->faults_active);
   EXPECT_GT(r->faults.version_bumps, 0u);
   EXPECT_EQ(r->metrics.requests(), params.measured_requests);
+}
+
+TEST(VersionCadenceTest, StarvingCadenceFailsSetup) {
+  // SmallParams broadcasts 500 pages in an 1100-slot cycle; the slowest
+  // disk's last pages first air near the cycle's end. A bump every 600
+  // slots restarts the cycle before they can air.
+  SimParams params = SmallParams();
+  params.access_range = 500;
+  params.fault.process.version_every = 600.0;
+  auto single = RunSimulation(params);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(single.status().message().find("first airs"), std::string::npos)
+      << single.status().ToString();
+  // The population engine refuses at setup too (it would hang).
+  const MultiClientParams pop = PopulationFromSimParams(params, 3);
+  auto population = pop::RunPopulationSimulation(pop, pop::PopParams{});
+  ASSERT_FALSE(population.ok());
+  EXPECT_EQ(population.status().code(), StatusCode::kInvalidArgument);
+  // The same cadence over pages that all air early in the cycle runs.
+  params.access_range = 100;
+  auto hot = RunSimulation(params);
+  ASSERT_TRUE(hot.ok()) << hot.status().ToString();
+  EXPECT_EQ(hot->metrics.requests(), params.measured_requests);
+}
+
+TEST(VersionCadenceTest, BoundIsFirstAirPlusOneSlotPlusJitter) {
+  SimParams params = SmallParams();
+  Result<ServerSchedule> schedule = BuildSchedule(params);
+  ASSERT_TRUE(schedule.ok()) << schedule.status().ToString();
+  const BroadcastProgram& program = schedule->program;
+  Result<Mapping> identity =
+      Mapping::Make(schedule->layout, 0, 0.0, Rng(1));
+  ASSERT_TRUE(identity.ok());
+  const uint64_t pages = program.num_pages();
+  double latest = 0.0;
+  for (PageId p = 0; p < pages; ++p) {
+    latest = std::max(latest, program.NextArrivalStart(p, 0.0));
+  }
+  fault::ProcessFaultParams process;
+  auto check = [&](double every, double jitter) {
+    process.version_every = every;
+    process.slot_jitter = jitter;
+    return CheckVersionCadence(process, program, *identity, pages, 0);
+  };
+  EXPECT_TRUE(check(0.0, 0.0).ok());  // bumps off
+  EXPECT_TRUE(check(latest + 1.0, 0.0).ok());
+  EXPECT_FALSE(check(latest + 0.5, 0.0).ok());
+  EXPECT_FALSE(check(latest + 1.0, 0.5).ok());
+  EXPECT_TRUE(check(latest + 1.5, 0.5).ok());
 }
 
 TEST(ProcessFaultTest, AllAxesComposedStillCompletes) {

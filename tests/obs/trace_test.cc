@@ -36,7 +36,7 @@ TEST(TraceSinkTest, SampleOneRecordsEverything) {
   std::ostringstream out;
   TraceSink sink(&out, 1.0, TraceFormat::kJsonl, 1);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(sink.ShouldSample());
+    EXPECT_TRUE(sink.ShouldSample(0, i + 1));
   }
   EXPECT_EQ(sink.offered(), 50u);
 }
@@ -45,7 +45,7 @@ TEST(TraceSinkTest, SampleZeroRecordsNothing) {
   std::ostringstream out;
   TraceSink sink(&out, 0.0, TraceFormat::kJsonl, 1);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(sink.ShouldSample());
+    EXPECT_FALSE(sink.ShouldSample(0, i + 1));
   }
   EXPECT_EQ(sink.offered(), 50u);
   EXPECT_EQ(sink.recorded(), 0u);
@@ -57,7 +57,9 @@ TEST(TraceSinkTest, SamplingIsDeterministicInSeed) {
     std::ostringstream out;
     TraceSink sink(&out, 0.3, TraceFormat::kJsonl, seed);
     std::vector<bool> result;
-    for (int i = 0; i < 200; ++i) result.push_back(sink.ShouldSample());
+    for (int i = 0; i < 200; ++i) {
+      result.push_back(sink.ShouldSample(i % 4, i / 4 + 1));
+    }
     return result;
   };
   EXPECT_EQ(decisions(42), decisions(42));
@@ -69,16 +71,40 @@ TEST(TraceSinkTest, SampleRateIsRoughlyRespected) {
   TraceSink sink(&out, 0.2, TraceFormat::kJsonl, 7);
   int sampled = 0;
   for (int i = 0; i < 10000; ++i) {
-    if (sink.ShouldSample()) ++sampled;
+    if (sink.ShouldSample(i % 10, i / 10 + 1)) ++sampled;
   }
   EXPECT_GT(sampled, 1600);
   EXPECT_LT(sampled, 2400);
 }
 
+TEST(TraceSinkTest, CoinDependsOnlyOnClientAndOrdinal) {
+  // The same (client, ordinal) coins in two different offer orders: the
+  // decisions match key by key.
+  std::ostringstream out_a;
+  std::ostringstream out_b;
+  TraceSink a(&out_a, 0.3, TraceFormat::kJsonl, 42);
+  TraceSink b(&out_b, 0.3, TraceFormat::kJsonl, 42);
+  std::vector<bool> forward;
+  for (uint32_t c = 0; c < 5; ++c) {
+    for (uint64_t n = 1; n <= 40; ++n) forward.push_back(a.ShouldSample(c, n));
+  }
+  std::vector<bool> backward(forward.size());
+  for (uint64_t n = 40; n >= 1; --n) {
+    for (uint32_t c = 5; c-- > 0;) {
+      backward[c * 40 + (n - 1)] = b.ShouldSample(c, n);
+    }
+  }
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(a.offered(), b.offered());
+  // And clients do not share one coin sequence.
+  EXPECT_NE(std::vector<bool>(forward.begin(), forward.begin() + 40),
+            std::vector<bool>(forward.begin() + 40, forward.begin() + 80));
+}
+
 TEST(TraceSinkTest, JsonlRecordContents) {
   std::ostringstream out;
   TraceSink sink(&out, 1.0, TraceFormat::kJsonl, 1);
-  ASSERT_TRUE(sink.ShouldSample());
+  ASSERT_TRUE(sink.ShouldSample(3, 1));
   sink.Record(SampleEvent());
   const std::string line = out.str();
   EXPECT_NE(line.find("\"t\": 123.5"), std::string::npos) << line;
@@ -97,7 +123,7 @@ TEST(TraceSinkTest, JsonlRecordContents) {
 TEST(TraceSinkTest, CsvHeaderAndRow) {
   std::ostringstream out;
   TraceSink sink(&out, 1.0, TraceFormat::kCsv, 1);
-  ASSERT_TRUE(sink.ShouldSample());
+  ASSERT_TRUE(sink.ShouldSample(3, 1));
   sink.Record(SampleEvent());
   const std::string text = out.str();
   EXPECT_EQ(text.find("time,page,hit,warmup,wait_slots,disk,victim,"
@@ -115,7 +141,7 @@ TEST(TraceSinkTest, CacheHitRecordUsesSentinels) {
   event.time = 5.0;
   event.page = 9;
   event.hit = true;
-  ASSERT_TRUE(sink.ShouldSample());
+  ASSERT_TRUE(sink.ShouldSample(3, 1));
   sink.Record(event);
   const std::string line = out.str();
   EXPECT_NE(line.find("\"hit\": true"), std::string::npos);
@@ -129,7 +155,7 @@ TEST(TraceSinkTest, OpenWritesToFile) {
     Result<std::unique_ptr<TraceSink>> sink =
         TraceSink::Open(path, 1.0, TraceFormat::kJsonl, 3);
     ASSERT_TRUE(sink.ok());
-    ASSERT_TRUE((*sink)->ShouldSample());
+    ASSERT_TRUE((*sink)->ShouldSample(3, 1));
     (*sink)->Record(SampleEvent());
   }
   std::ifstream in(path);

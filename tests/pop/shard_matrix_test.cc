@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -16,8 +17,10 @@
 #include <vector>
 
 #include "core/multi_client.h"
+#include "core/params.h"
 #include "obs/run_report.h"
 #include "obs/stats_stream.h"
+#include "obs/trace.h"
 #include "pop/client_store.h"
 #include "pop/engine.h"
 #include "pop/pop_params.h"
@@ -161,6 +164,128 @@ TEST(ShardMatrixTest, ClassProfilesStayShardInvariant) {
     } else {
       EXPECT_EQ(bytes, reference) << "shards=" << k;
     }
+  }
+}
+
+// The golden configurations plus one with every process fault, version
+// bumps at a cadence that starves no page included.
+std::vector<std::pair<std::string, MultiClientParams>> LaneConfigs() {
+  std::vector<std::pair<std::string, MultiClientParams>> configs =
+      GoldenConfigs();
+  MultiClientParams params = MakePopulation(kClients);
+  params.fault.loss = 0.05;
+  params.fault.process.crash_every = 6000.0;
+  params.fault.process.crash_down = 40.0;
+  params.fault.process.crash_cold = true;
+  params.fault.process.stall_every = 3000.0;
+  params.fault.process.stall_len = 20.0;
+  params.fault.process.slot_jitter = 0.4;
+  params.fault.process.version_every = 2500.0;
+  configs.emplace_back("pop_process_faults", params);
+  return configs;
+}
+
+TEST(ShardMatrixTest, LanesMatchOneClientPerShard) {
+  // One shard runs its clients lane by lane; K = N gives each client a
+  // shard of its own. The two must agree byte for byte, event count
+  // included.
+  for (const auto& [name, params] : LaneConfigs()) {
+    SCOPED_TRACE(name);
+    std::string reference;
+    uint64_t reference_events = 0;
+    for (uint64_t k : {uint64_t{1}, kClients}) {
+      PopParams pop;
+      pop.clients = kClients;
+      pop.shards = k;
+      auto result = RunPopulationSimulation(params, pop);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      obs::RunReport report = MakeRunReport(params, *result, name, "test");
+      AppendPopulationExtras(pop, *result, &report);
+      const std::string bytes = SimulationBytes(std::move(report));
+      if (k == 1) {
+        reference = bytes;
+        reference_events = result->events_dispatched;
+        if (name == "pop_process_faults") {
+          EXPECT_GT(result->faults.version_bumps, 0u);
+          EXPECT_GT(result->faults.crashes, 0u);
+        }
+      } else {
+        EXPECT_EQ(bytes, reference);
+        EXPECT_EQ(result->events_dispatched, reference_events);
+      }
+    }
+  }
+}
+
+TEST(ShardMatrixTest, MirrorsReachWaitsThatBeginInsideTheSlot) {
+  // Clients crowding a few pages, with short think times and every miss
+  // requesting a pull: waits often begin inside a pull slot of their
+  // page, after the round that delivers it started. A pull slot delivers
+  // to such a wait, as it did when one time-ordered queue held the whole
+  // shard; the figures below are that engine's. A lane that missed those
+  // mirrors would still agree with one-client shards, which is why they
+  // are pinned here.
+  SimParams crowd;
+  crowd.disk_sizes = {10, 30, 60};
+  crowd.access_range = 40;
+  crowd.region_size = 5;
+  crowd.cache_size = 4;
+  crowd.think_time = 0.5;
+  crowd.measured_requests = 300;
+  crowd.pull.pull_slots = 2;
+  crowd.pull.threshold = 0.0;
+  const MultiClientParams params = PopulationFromSimParams(crowd, 20);
+  for (uint64_t k : {1u, 20u}) {
+    PopParams pop;
+    pop.clients = 20;
+    pop.shards = k;
+    auto result = RunPopulationSimulation(params, pop);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->events_dispatched, 25901u) << "shards=" << k;
+    EXPECT_EQ(result->pull_stats.pull_deliveries, 1007u) << "shards=" << k;
+    EXPECT_EQ(result->end_time, 24040.0) << "shards=" << k;
+  }
+}
+
+// The trace records of a run at \p sample, sorted: the multiset, since
+// records of different clients interleave differently per layout.
+std::vector<std::string> SortedTrace(const MultiClientParams& params,
+                                     uint64_t shards, double sample) {
+  std::ostringstream out;
+  obs::TraceSink sink(&out, sample, obs::TraceFormat::kJsonl, params.seed);
+  SimObservers observers;
+  observers.trace = &sink;
+  PopParams pop;
+  pop.clients = params.clients.size();
+  pop.shards = shards;
+  auto result = RunPopulationSimulation(params, pop, observers);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  sink.Flush();
+  std::vector<std::string> lines;
+  std::istringstream in(out.str());
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+TEST(ShardMatrixTest, FullTraceInvariantInShardCount) {
+  for (const auto& [name, params] : GoldenConfigs()) {
+    SCOPED_TRACE(name);
+    const std::vector<std::string> lanes = SortedTrace(params, 1, 1.0);
+    EXPECT_GT(lanes.size(), kClients * params.measured_requests);
+    EXPECT_EQ(SortedTrace(params, kClients, 1.0), lanes);
+  }
+}
+
+TEST(ShardMatrixTest, SampledTraceInvariantInShardCount) {
+  // The sampling coin is keyed by (seed, client, request ordinal), so
+  // neither thread timing nor lane order changes the sampled subset.
+  for (const auto& [name, params] : GoldenConfigs()) {
+    SCOPED_TRACE(name);
+    const std::vector<std::string> one = SortedTrace(params, 1, 0.3);
+    EXPECT_GT(one.size(), 0u);
+    EXPECT_EQ(SortedTrace(params, 3, 0.3), one);
   }
 }
 

@@ -352,7 +352,9 @@ int Run(int argc, const char* const* argv) {
   }
   if (!result.ok()) {
     std::cerr << result.status().ToString() << "\n";
-    return 1;
+    // A run its setup rejects (a schedule-version cadence that starves a
+    // requested page) is a bad flag combination, like Finalize's.
+    return result.status().code() == StatusCode::kInvalidArgument ? 2 : 1;
   }
   if (trace != nullptr) trace->Flush();
   if (timeline != nullptr) timeline->Flush();
