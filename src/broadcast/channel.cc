@@ -126,6 +126,10 @@ void BroadcastChannel::PageAwaiter::Finish(std::coroutine_handle<> h,
 }
 
 bool BroadcastChannel::PageAwaiter::OnPullDelivery(double deliver_end) {
+  // A page is received only from a slot heard whole: a wait that began
+  // after the slot started missed its beginning, draws nothing for it,
+  // and stays armed for its push arrival and any later pull.
+  if (start_ > deliver_end - 1.0) return false;
   // The pull transmission crosses the same air as push: a dozing,
   // fading, or corrupting radio can miss it, in which case the waiter
   // stays armed on its push schedule.

@@ -98,7 +98,8 @@ class BroadcastChannel {
 
     /// A pull slot transmitted page_ (see pull::PullSink). Consumes it —
     /// cancelling the pending push arrival and resuming the waiter —
-    /// unless this client's radio missed the transmission.
+    /// unless the wait began after the slot started or this client's
+    /// radio missed the transmission.
     bool OnPullDelivery(double deliver_end) override;
 
     /// The on-air program changed at \p now: cancel the pending push

@@ -13,14 +13,6 @@ namespace {
 // compacting on every cancel; the ratio bounds memory at O(live).
 constexpr uint64_t kCompactFloor = 64;
 
-// The pool a multi-lane queue's heaps share: a finished lane's storage
-// goes back to it for the next lane, so lanes cost no allocation each.
-std::unique_ptr<std::pmr::unsynchronized_pool_resource> MakeLanePool(
-    uint32_t lanes) {
-  if (lanes <= 1) return nullptr;
-  return std::make_unique<std::pmr::unsynchronized_pool_resource>();
-}
-
 }  // namespace
 
 const char* EventKindName(EventKind kind) {
@@ -43,15 +35,9 @@ const char* EventKindName(EventKind kind) {
   return "unknown";
 }
 
-EventQueue::EventQueue(uint32_t lanes)
-    : pool_(MakeLanePool(lanes)),
-      heap_(PoolAllocator<EventRef>(pool_.get())),
-      lanes_(lanes) {
+EventQueue::EventQueue(uint32_t lanes) : lanes_(lanes) {
   BCAST_CHECK_GE(lanes, 1u);
-  if (lanes > 1) {
-    parked_.reserve(lanes);
-    for (uint32_t i = 0; i < lanes; ++i) parked_.emplace_back(pool_.get());
-  }
+  if (lanes > 1) parked_.resize(lanes);
 }
 
 void EventQueue::SelectLane(uint32_t lane) {
@@ -91,33 +77,15 @@ void EventQueue::FreeSlot(uint32_t slot) {
 
 EventQueue::EventId EventQueue::Push(double time, std::function<void()> fn,
                                      EventKind kind) {
-  BCAST_CHECK_LT(next_seq_, kMaxSeq) << "EventQueue sequence exhausted";
-  return PushSeq(time, next_seq_++, std::move(fn), kind);
-}
-
-uint64_t EventQueue::ReserveSequence() {
-  BCAST_CHECK_LT(next_seq_, kMaxSeq) << "EventQueue sequence exhausted";
-  return next_seq_++;
-}
-
-EventQueue::EventId EventQueue::PushReserved(double time, uint64_t seq,
-                                             std::function<void()> fn,
-                                             EventKind kind) {
-  BCAST_CHECK_LT(seq, next_seq_) << "sequence number was never reserved";
-  return PushSeq(time, seq, std::move(fn), kind);
-}
-
-EventQueue::EventId EventQueue::PushSeq(double time, uint64_t seq,
-                                        std::function<void()>&& fn,
-                                        EventKind kind) {
   BCAST_CHECK(std::isfinite(time))
       << "event time must be finite, got " << time;
+  BCAST_CHECK_LT(next_seq_, kMaxSeq) << "EventQueue sequence exhausted";
   const uint32_t slot = AllocSlot();
   Slot& s = slab_[slot];
   s.fn = std::move(fn);
   s.lane = lane_;
   const uint64_t seq_and_kind =
-      (seq << kKindBits) | static_cast<uint64_t>(kind);
+      (next_seq_++ << kKindBits) | static_cast<uint64_t>(kind);
   heap_.push_back(EventRef{time, seq_and_kind, slot, s.gen});
   std::push_heap(heap_.begin(), heap_.end(), LaterRef{});
   ++live_;
@@ -175,8 +143,7 @@ double EventQueue::PeekTime() {
   return heap_.front().time;
 }
 
-std::function<void()> EventQueue::Pop(double* time, EventKind* kind,
-                                      uint64_t* seq) {
+std::function<void()> EventQueue::Pop(double* time, EventKind* kind) {
   BCAST_CHECK(live_ > 0) << "Pop on empty EventQueue";
   SkipStale();
   BCAST_CHECK(!heap_.empty()) << "heap lost a live event";
@@ -185,7 +152,6 @@ std::function<void()> EventQueue::Pop(double* time, EventKind* kind,
   if (kind != nullptr) {
     *kind = static_cast<EventKind>(ref.seq_and_kind & 0xff);
   }
-  if (seq != nullptr) *seq = ref.seq_and_kind >> kKindBits;
   std::function<void()> fn = std::move(slab_[ref.slot].fn);
   FreeSlot(ref.slot);
   PopFront();
@@ -215,7 +181,7 @@ void EventQueue::Clear() {
 
 void EventQueue::ReleaseLane() {
   BCAST_CHECK(live_ == 0) << "releasing a lane with pending events";
-  Heap(heap_.get_allocator()).swap(heap_);
+  Heap().swap(heap_);
   stale_ = 0;
 }
 

@@ -9,20 +9,16 @@
 /// (tests/des/queue_differential_test.cc) and end to end by the goldens.
 ///
 /// A queue may hold several *lanes*: independent pending sets, each its
-/// own heap, that share the payload slab, the sequence counter and a
-/// pool the lane heaps draw their storage from. Push, PeekTime and Pop
-/// act on the selected lane, whose heap sits in place while the others
-/// are parked; Cancel finds the event's lane itself. One lane (the
-/// default) is the plain queue, with no pool and nothing parked.
+/// own heap, that share the payload slab and the sequence counter. Push,
+/// PeekTime and Pop act on the selected lane, whose heap sits in place
+/// while the others are parked; Cancel finds the event's lane itself.
+/// One lane (the default) is the plain queue, with nothing parked.
 
 #ifndef BCAST_DES_EVENT_QUEUE_H_
 #define BCAST_DES_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <memory_resource>
-#include <type_traits>
 #include <vector>
 
 namespace bcast::des {
@@ -88,16 +84,6 @@ class EventQueue {
   EventId Push(double time, std::function<void()> fn,
                EventKind kind = EventKind::kGeneric);
 
-  /// Takes the next sequence number without scheduling anything: an
-  /// event later pushed with `PushReserved` sorts as if it had been
-  /// pushed now.
-  uint64_t ReserveSequence();
-
-  /// Schedules \p fn at \p time in the selected lane under the reserved
-  /// sequence number \p seq. A sequence number may be used once per lane.
-  EventId PushReserved(double time, uint64_t seq, std::function<void()> fn,
-                       EventKind kind = EventKind::kGeneric);
-
   /// Cancels a pending event, in whichever lane holds it. Returns false
   /// if the event already fired, was cancelled before, or never existed.
   /// O(1): the payload slot is reclaimed immediately; the heap's ref is
@@ -115,17 +101,15 @@ class EventQueue {
   double PeekTime();
 
   /// Removes and returns the selected lane's earliest live event's
-  /// callback, setting \p time to its timestamp (and \p kind and
-  /// \p seq, when non-null, to its kind and sequence number). Must not be
-  /// called when empty.
-  std::function<void()> Pop(double* time, EventKind* kind = nullptr,
-                            uint64_t* seq = nullptr);
+  /// callback, setting \p time to its timestamp (and \p kind, when
+  /// non-null, to its kind). Must not be called when empty.
+  std::function<void()> Pop(double* time, EventKind* kind = nullptr);
 
   /// Drops all pending events of every lane and releases their callbacks.
   void Clear();
 
-  /// Returns the selected lane's heap storage to the pool; the lane must
-  /// be empty. A finished lane's memory is then reused by the next.
+  /// Frees the selected lane's heap storage; the lane must be empty. A
+  /// finished lane then holds no memory of its own.
   void ReleaseLane();
 
   /// \name Memory introspection (tests and diagnostics).
@@ -180,42 +164,11 @@ class EventQueue {
     uint32_t lane = 0;
   };
 
-  // Allocates heap storage from a lane pool, or from the global heap
-  // when there is none. Unlike std::pmr's allocator it leaves element
-  // construction to the standard path, so a heap push costs what it
-  // costs with std::allocator.
-  template <typename T>
-  struct PoolAllocator {
-    using value_type = T;
-    using propagate_on_container_swap = std::true_type;
-    explicit PoolAllocator(std::pmr::memory_resource* pool) : pool(pool) {}
-    template <typename U>
-    PoolAllocator(const PoolAllocator<U>& other) : pool(other.pool) {}
-    T* allocate(size_t n) {
-      return static_cast<T*>(pool != nullptr
-                                 ? pool->allocate(n * sizeof(T), alignof(T))
-                                 : ::operator new(n * sizeof(T)));
-    }
-    void deallocate(T* p, size_t n) {
-      if (pool != nullptr) {
-        pool->deallocate(p, n * sizeof(T), alignof(T));
-      } else {
-        ::operator delete(p);
-      }
-    }
-    template <typename U>
-    bool operator==(const PoolAllocator<U>& other) const {
-      return pool == other.pool;
-    }
-    std::pmr::memory_resource* pool;
-  };
-  using Heap = std::vector<EventRef, PoolAllocator<EventRef>>;
+  using Heap = std::vector<EventRef>;
 
   // A parked lane's pending set: its heap of refs and its live and
   // cancelled-but-still-heaped counts.
   struct Lane {
-    explicit Lane(std::pmr::memory_resource* pool)
-        : heap(PoolAllocator<EventRef>(pool)) {}
     Heap heap;
     uint64_t live = 0;
     uint64_t stale = 0;
@@ -224,10 +177,6 @@ class EventQueue {
   static EventId MakeId(uint32_t slot, uint32_t gen) {
     return (static_cast<uint64_t>(gen) << 32) | slot;
   }
-
-  // Push and PushReserved: schedules \p fn under \p seq.
-  EventId PushSeq(double time, uint64_t seq, std::function<void()>&& fn,
-                  EventKind kind);
 
   uint32_t AllocSlot();
 
@@ -251,9 +200,6 @@ class EventQueue {
   // events, bounding heap memory at O(live).
   void MaybeCompact(Heap* heap, uint64_t live, uint64_t* stale);
 
-  // The lane heaps' storage; null for a one-lane queue, whose heap uses
-  // the global heap. Declared before heap_, which allocates from it.
-  std::unique_ptr<std::pmr::unsynchronized_pool_resource> pool_;
   // The selected lane's pending set.
   Heap heap_;
   std::vector<Slot> slab_;

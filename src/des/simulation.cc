@@ -90,13 +90,6 @@ void Simulation::OnProcessFinished(Process::Handle h) {
   h.destroy();
 }
 
-EventQueue::EventId Simulation::ScheduleAtReserved(double time, uint64_t seq,
-                                                   std::function<void()> fn,
-                                                   EventKind kind) {
-  BCAST_CHECK_GE(time, now_);
-  return queue_.PushReserved(time, seq, std::move(fn), kind);
-}
-
 void Simulation::OnLaneSwitch(
     std::function<void(uint32_t from, uint32_t to)> hook) {
   BCAST_CHECK(!on_lane_switch_) << "a lane-switch hook is already set";
@@ -112,7 +105,7 @@ void Simulation::EnterLane(uint32_t lane) {
   out.now = now_;
   out.live = lane_live_;
   lane_wake_[from] = queue_.empty() ? kInf : queue_.PeekTime();
-  // A finished lane hands its heap storage back to the pool.
+  // A finished lane gives its heap storage back.
   if (queue_.empty() && lane_live_ == 0) queue_.ReleaseLane();
   queue_.SelectLane(lane);
   now_ = std::max(lane_state_[lane].now, lanes_floor_);
@@ -181,7 +174,7 @@ void Simulation::Drain() {
   if (!profiling_) {
     while (!stopped_ && !queue_.empty()) {
       double t;
-      std::function<void()> fn = queue_.Pop(&t, nullptr, &dispatch_seq_);
+      std::function<void()> fn = queue_.Pop(&t);
       BCAST_CHECK_GE(t, now_) << "event scheduled in the past";
       now_ = t;
       ++events_dispatched_;
@@ -191,7 +184,7 @@ void Simulation::Drain() {
     while (!stopped_ && !queue_.empty()) {
       double t;
       EventKind kind;
-      std::function<void()> fn = queue_.Pop(&t, &kind, &dispatch_seq_);
+      std::function<void()> fn = queue_.Pop(&t, &kind);
       BCAST_CHECK_GE(t, now_) << "event scheduled in the past";
       now_ = t;
       ++events_dispatched_;
@@ -211,13 +204,13 @@ void Simulation::RunUntil(double time) {
     double t;
     std::function<void()> fn;
     if (!profiling_) {
-      fn = queue_.Pop(&t, nullptr, &dispatch_seq_);
+      fn = queue_.Pop(&t);
       now_ = t;
       ++events_dispatched_;
       fn();
     } else {
       EventKind kind;
-      fn = queue_.Pop(&t, &kind, &dispatch_seq_);
+      fn = queue_.Pop(&t, &kind);
       now_ = t;
       ++events_dispatched_;
       Dispatch(fn, kind);

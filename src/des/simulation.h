@@ -249,23 +249,6 @@ class Simulation {
   /// The latest clock of any lane.
   double frontier() const;
 
-  /// Takes the next sequence number without scheduling: see
-  /// `ScheduleAtReserved`.
-  uint64_t ReserveSequence() { return queue_.ReserveSequence(); }
-
-  /// Schedules \p fn at \p time (>= Now()) in the entered lane, ordered
-  /// as if it had been scheduled when \p seq was reserved. A reserved
-  /// number may be used once per lane.
-  EventQueue::EventId ScheduleAtReserved(double time, uint64_t seq,
-                                         std::function<void()> fn,
-                                         EventKind kind);
-
-  /// True when an event at (\p time, \p seq) would already have been
-  /// dispatched in the entered lane: it sorts before the event being
-  /// dispatched. Valid while an event of the lane is being dispatched.
-  bool Passed(double time, uint64_t seq) const {
-    return time < now_ || (time == now_ && seq < dispatch_seq_);
-  }
   /// @}
 
   /// Suspends the calling process for \p delay (>= 0) simulated units.
@@ -293,9 +276,6 @@ class Simulation {
     if (h.address() != tail_ || stopped_ || time > horizon_) return false;
     if (!queue_.empty() && !(time < queue_.PeekTime())) return false;
     now_ = time;
-    // The wakeup stands for an event scheduled just now: newer than any
-    // sequence number already taken.
-    dispatch_seq_ = kNewestSeq;
     ++events_dispatched_;
     if (profiling_) ++profile_.kinds[static_cast<size_t>(kind)].dispatches;
     return true;
@@ -338,8 +318,6 @@ class Simulation {
   // until it is empty or Stop() is called.
   void Drain();
 
-  static constexpr uint64_t kNewestSeq = ~uint64_t{0};
-
   // A lane's saved state while another lane is entered.
   struct LaneState {
     double now = 0.0;
@@ -357,7 +335,6 @@ class Simulation {
   // Frame resumed by the running event's ResumeTail, or nullptr.
   void* tail_ = nullptr;
   uint64_t events_dispatched_ = 0;
-  uint64_t dispatch_seq_ = 0;  // sequence of the event being dispatched
   DesProfile profile_;
   obs::TimelineWriter* timeline_ = nullptr;
   std::unordered_set<void*> processes_;  // live coroutine frames

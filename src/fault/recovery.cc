@@ -184,12 +184,11 @@ double Receiver::CrashResume(double now) {
 
 void Receiver::ForgetBefore(double now) {
   // Every window query this client makes from here on is about an
-  // instant at or after now - 1: scheduled arrivals start at or after
-  // the instant the client listens from, and a pull slot may deliver to
-  // a wait that began partway through it.
-  const double floor = now - 1.0;
-  if (crash_ != nullptr) crash_->ForgetBefore(floor);
-  if (server_faults_ != nullptr) server_faults_->ForgetBefore(floor);
+  // instant at or after now: scheduled arrivals start at or after the
+  // instant the client listens from, and a pull slot is heard only by a
+  // wait that began by its start.
+  if (crash_ != nullptr) crash_->ForgetBefore(now);
+  if (server_faults_ != nullptr) server_faults_->ForgetBefore(now);
 }
 
 double Receiver::NoteDozeMiss(double arrival_start) {

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace bcast::pop {
 
 void ShardPullHub::AddWaiter(PageId page, pull::PullSink* sink) {
-  const uint32_t lane = sim_->lane();
-  waiters_[page].push_back(Waiter{sink, lane});
-  // A lane that starts waiting partway through the round hears the
-  // round's mirrors of this page it has not passed yet.
-  for (Mirror& m : mirrors_) {
-    if (m.page != page || sim_->Passed(m.end, m.seq)) continue;
-    const auto pos = std::lower_bound(m.lanes.begin(), m.lanes.end(), lane);
-    if (pos != m.lanes.end() && *pos == lane) continue;  // already there
-    m.lanes.insert(pos, lane);
-    ScheduleMirror(m);
-  }
+  waiters_[page].push_back(Waiter{sink, sim_->lane()});
 }
 
 void ShardPullHub::RemoveWaiter(PageId page, pull::PullSink* sink) {
@@ -28,40 +20,30 @@ void ShardPullHub::RemoveWaiter(PageId page, pull::PullSink* sink) {
   if (list.empty()) waiters_.erase(it);
 }
 
-void ShardPullHub::RouteMirrors(double round_start) {
-  // A mirror that ended by the round start has fired in every lane it
-  // was scheduled in, and no lane can still reach it.
-  mirrors_.erase(std::remove_if(mirrors_.begin(), mirrors_.end(),
-                                [round_start](const Mirror& m) {
-                                  return m.end <= round_start;
-                                }),
-                 mirrors_.end());
-  for (Mirror& m : queued_) {
-    m.seq = sim_->ReserveSequence();
+void ShardPullHub::RouteMirrors() {
+  for (const Mirror& m : queued_) {
+    // A wait that began by the slot start is registered by now, so the
+    // waiter table lists every lane the slot can reach.
+    BCAST_CHECK_LE(m.end - 1.0, sim_->Now())
+        << "a pull slot mirrored before it started";
     auto it = waiters_.find(m.page);
-    if (it != waiters_.end()) {
-      for (const Waiter& w : it->second) m.lanes.push_back(w.lane);
-      std::sort(m.lanes.begin(), m.lanes.end());
-      m.lanes.erase(std::unique(m.lanes.begin(), m.lanes.end()),
-                    m.lanes.end());
-    }
-    for (uint32_t lane : m.lanes) {
+    if (it == waiters_.end()) continue;
+    lanes_.clear();
+    for (const Waiter& w : it->second) lanes_.push_back(w.lane);
+    std::sort(lanes_.begin(), lanes_.end());
+    lanes_.erase(std::unique(lanes_.begin(), lanes_.end()), lanes_.end());
+    for (uint32_t lane : lanes_) {
       sim_->EnterLane(lane);
-      ScheduleMirror(m);
+      sim_->ScheduleAt(
+          m.end,
+          [this, page = m.page, end = m.end]() {
+            ++mirrors_fired_;
+            Deliver(page, end);
+          },
+          des::EventKind::kPull);
     }
-    mirrors_.push_back(std::move(m));
   }
   queued_.clear();
-}
-
-void ShardPullHub::ScheduleMirror(const Mirror& m) {
-  sim_->ScheduleAtReserved(
-      m.end, m.seq,
-      [this, page = m.page, end = m.end]() {
-        ++mirrors_fired_;
-        Deliver(page, end);
-      },
-      des::EventKind::kPull);
 }
 
 void ShardPullHub::Deliver(PageId page, double end) {

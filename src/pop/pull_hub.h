@@ -17,13 +17,13 @@
 /// for every shard count.
 ///
 /// The shard runs its clients as lanes of one simulation (pop/shard.h),
-/// so a mirror goes only to the lanes that wait on its page: at round
-/// start, each queued mirror takes the next sequence number and is
-/// scheduled into every lane the waiter table lists for its page; a lane
-/// that starts waiting on the page later in the round gets it then, with
-/// the same sequence number, unless the lane has already passed it. Each
-/// lane thus sees the mirror at the (time, sequence) position a shard of
-/// its own would. A delivery is a verbatim mirror of
+/// so a mirror goes only to the lanes that wait on its page. A pull slot
+/// is heard only by waits that began by its start
+/// (`BroadcastChannel::PageAwaiter::OnPullDelivery`), and the slot
+/// starts by the round that mirrors it (every slot start is a barrier).
+/// So the lanes waiting on the page at round start are all the lanes the
+/// slot can reach, and each queued mirror is scheduled into each of them
+/// then. A delivery is a verbatim mirror of
 /// `PullServer::DeliverPage` — detach-then-offer with re-registration on
 /// refusal — for the lane's own waiters, and the consumed-offer count
 /// lands in a shard-local counter that the engine sums into the merged
@@ -73,13 +73,13 @@ class ShardPullHub : public pull::WaiterRegistry {
   /// transmitted \p page in a pull slot ending at \p end (strictly after
   /// the barrier that produced it).
   void QueueMirror(PageId page, double end) {
-    queued_.push_back(Mirror{page, end, 0, {}});
+    queued_.push_back(Mirror{page, end});
   }
 
-  /// Shard side, at the top of a round that starts at \p round_start:
-  /// routes the queued mirrors to the lanes waiting on their pages (see
-  /// the file comment). Enters each such lane.
-  void RouteMirrors(double round_start);
+  /// Shard side, at the top of a round, every lane's clock at the round
+  /// start: routes the queued mirrors to the lanes waiting on their
+  /// pages (see the file comment). Enters each such lane.
+  void RouteMirrors();
 
   /// Transport for client \p client_id: submits land in this shard's
   /// queue, delivery/latency accounting lands in \p stats (the client's
@@ -108,17 +108,11 @@ class ShardPullHub : public pull::WaiterRegistry {
     pull::PullSink* sink;
     uint32_t lane;
   };
-  // A mirror of a pull transmission. Once routed: its sequence number
-  // and the lanes it is scheduled in (sorted).
+  // A pull transmission: its page and the end of its slot.
   struct Mirror {
     PageId page;
     double end;
-    uint64_t seq;
-    std::vector<uint32_t> lanes;
   };
-
-  // Schedules \p m into the entered lane.
-  void ScheduleMirror(const Mirror& m);
 
   // Mirror of `PullServer::DeliverPage` for the entered lane's waiters
   // on \p page.
@@ -130,8 +124,8 @@ class ShardPullHub : public pull::WaiterRegistry {
   uint64_t pull_deliveries_ = 0;
   uint64_t mirrors_fired_ = 0;
   std::unordered_map<PageId, std::vector<Waiter>> waiters_;
-  std::vector<Mirror> queued_;   // not routed yet
-  std::vector<Mirror> mirrors_;  // routed, and may still reach a lane
+  std::vector<Mirror> queued_;  // not routed yet
+  std::vector<uint32_t> lanes_;  // RouteMirrors' scratch list
   std::vector<pull::PullSink*> detached_;  // Deliver's scratch list
   SpscQueue<UplinkMsg> queue_;
 };

@@ -121,7 +121,7 @@ void Shard::ApplyMailbox() {
                            {{"shard", static_cast<double>(index_)}}));
   }
   pending_switches_.clear();
-  if (hub_ != nullptr) hub_->RouteMirrors(round_start_);
+  if (hub_ != nullptr) hub_->RouteMirrors();
 }
 
 void Shard::RunRound(double barrier, bool to_completion) {
@@ -129,7 +129,7 @@ void Shard::RunRound(double barrier, bool to_completion) {
   // A later lane may still query the stall windows from the round start
   // on, however far the lanes before it ran.
   if (server_faults_ != nullptr && sim_.lanes() > 1) {
-    server_faults_->CapFloor(round_start_ - 1.0);
+    server_faults_->CapFloor(round_start_);
   }
   if (to_completion) {
     sim_.RunLanes(std::numeric_limits<double>::infinity());

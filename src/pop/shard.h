@@ -20,10 +20,11 @@
 /// in client-id order, each to the round barrier. Within a round no
 /// client's events change what another client's events see: the
 /// channel keeps a per-lane view of the program, the
-/// version-bump chain runs per lane, a mirror reaches a lane at the
-/// (time, sequence) position it holds in a shard of that client alone,
-/// and the server fault plane never forgets what a later lane may still
-/// ask. So a lane runs exactly as a one-client shard would, and an
+/// version-bump chain runs per lane, a mirror is scheduled at round
+/// start into every lane that waits on its page (a pull slot is heard
+/// only by waits that began by its start, and every slot start is a
+/// barrier), and the server fault plane never forgets what a later lane
+/// may still ask from the round start on. So a lane runs exactly as a one-client shard would, and an
 /// uncoupled population — one round — runs each client start to finish
 /// with its working set hot.
 ///

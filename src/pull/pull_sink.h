@@ -18,9 +18,10 @@ class PullSink {
  public:
   /// A pull-slot transmission of the awaited page completed at
   /// \p deliver_end. Returns true when the sink consumed it (the wait is
-  /// over); false when this receiver could not hear it (dozing, loss,
-  /// corruption) and keeps waiting — the server then re-registers the
-  /// sink for any later pull of the same page.
+  /// over); false when this receiver could not hear it (the wait began
+  /// after the slot started, dozing, loss, corruption) and keeps
+  /// waiting — the server then re-registers the sink for any later pull
+  /// of the same page.
   virtual bool OnPullDelivery(double deliver_end) = 0;
 
  protected:

@@ -434,54 +434,6 @@ TEST(LaneTest, SwitchHookSeesEveryLaneChange) {
                           {0, 2}, {2, 1}}));
 }
 
-TEST(LaneTest, ReservedSequenceSortsAsIfScheduledWhenReserved) {
-  Simulation sim(2);
-  std::vector<std::string> order;
-  sim.ScheduleAt(5.0, [&] { order.push_back("early"); });
-  const uint64_t seq = sim.ReserveSequence();
-  sim.ScheduleAt(5.0, [&] { order.push_back("late"); });
-  sim.ScheduleAtReserved(5.0, seq, [&] { order.push_back("reserved"); },
-                         EventKind::kPull);
-  // One reserved number serves every lane once.
-  sim.EnterLane(1);
-  sim.ScheduleAtReserved(5.0, seq, [&] { order.push_back("lane1"); },
-                         EventKind::kPull);
-  sim.RunLanes(std::numeric_limits<double>::infinity());
-  EXPECT_EQ(order, (std::vector<std::string>{"early", "reserved", "late",
-                                             "lane1"}));
-}
-
-TEST(LaneTest, PassedComparesWithTheDispatchingEvent) {
-  Simulation sim;
-  const uint64_t before = sim.ReserveSequence();
-  sim.ScheduleAt(5.0, [&] {
-    const uint64_t after = sim.ReserveSequence();
-    EXPECT_TRUE(sim.Passed(4.0, after));
-    EXPECT_TRUE(sim.Passed(5.0, before));
-    EXPECT_FALSE(sim.Passed(5.0, after));
-    EXPECT_FALSE(sim.Passed(6.0, before));
-  });
-  sim.Run();
-}
-
-TEST(LaneTest, InlineWakeupsHavePassedEveryReservedSequence) {
-  // A wakeup that continues inline stands for an event scheduled at that
-  // instant, so anything reserved earlier at the same time has passed.
-  Simulation sim;
-  uint64_t reserved = 0;
-  bool checked = false;
-  auto proc = [&]() -> Process {
-    reserved = sim.ReserveSequence();
-    co_await sim.Delay(3.0);  // nothing queued: continues inline
-    EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
-    EXPECT_TRUE(sim.Passed(3.0, reserved));
-    checked = true;
-  };
-  sim.Spawn(proc());
-  sim.Run();
-  EXPECT_TRUE(checked);
-}
-
 TEST(LaneTest, CancelFindsTheEventsLane) {
   Simulation sim(2);
   sim.EnterLane(1);
