@@ -25,19 +25,6 @@ double ExpectedDelayForDistribution(const BroadcastProgram& program,
   return delay;
 }
 
-double DelayVariance(const BroadcastProgram& program, PageId p) {
-  const std::vector<uint64_t> gaps = program.InterArrivalGaps(p);
-  const double period = static_cast<double>(program.period());
-  double sum_cu = 0.0;
-  for (uint64_t g : gaps) {
-    const double gd = static_cast<double>(g);
-    sum_cu += gd * gd * gd;
-  }
-  const double ew = ExpectedDelay(program, p);
-  const double ew2 = sum_cu / (3.0 * period);
-  return ew2 - ew * ew;
-}
-
 double GapVariance(const BroadcastProgram& program, PageId p) {
   const std::vector<uint64_t> gaps = program.InterArrivalGaps(p);
   const double n = static_cast<double>(gaps.size());

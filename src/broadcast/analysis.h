@@ -30,10 +30,6 @@ double ExpectedDelay(const BroadcastProgram& program, PageId p);
 double ExpectedDelayForDistribution(const BroadcastProgram& program,
                                     const std::vector<double>& probs);
 
-/// \brief Variance of the wait for page \p p under a uniformly random
-/// request time (E[W^2] - E[W]^2 with E[W^2] = sum g_i^3 / (3 P)).
-double DelayVariance(const BroadcastProgram& program, PageId p);
-
 /// \brief Population variance of page \p p's inter-arrival gaps; zero iff
 /// the page has fixed inter-arrival times.
 double GapVariance(const BroadcastProgram& program, PageId p);

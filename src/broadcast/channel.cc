@@ -10,7 +10,6 @@ BroadcastChannel::BroadcastChannel(des::Simulation* sim,
     : sim_(sim), program_(program) {
   BCAST_CHECK(sim != nullptr);
   BCAST_CHECK(program != nullptr);
-  served_per_disk_.assign(program->num_disks(), 0);
 }
 
 void BroadcastChannel::EnableResync() {
@@ -42,19 +41,10 @@ bool BroadcastChannel::PageAwaiter::await_suspend(std::coroutine_handle<> h) {
     // bookkeeping.
     const double done = channel_->program_->NextArrivalEnd(page_, now);
     wait_ = done - now;
-    BroadcastChannel* channel = channel_;
-    const PageId page = page_;
-    if (channel->sim_->ContinueInline(h, done, des::EventKind::kSlot)) {
-      channel->CountServed(page);
-      return false;
-    }
-    channel_->sim_->ScheduleAt(
-        done,
-        [channel, page, h]() {
-          channel->CountServed(page);
-          channel->sim_->ResumeTail(h);
-        },
-        des::EventKind::kSlot);
+    des::Simulation* sim = channel_->sim_;
+    if (sim->ContinueInline(h, done, des::EventKind::kSlot)) return false;
+    sim->ScheduleAt(
+        done, [sim, h]() { sim->ResumeTail(h); }, des::EventKind::kSlot);
     return true;
   }
   start_ = now;
@@ -121,7 +111,6 @@ void BroadcastChannel::PageAwaiter::Finish(std::coroutine_handle<> h,
   }
   channel_->last_wait_via_pull_ = via_pull;
   wait_ = end - start_;
-  channel_->CountServed(page_);
   h.resume();
 }
 
@@ -208,11 +197,6 @@ void BroadcastChannel::UnlinkActive(PageAwaiter* waiter) {
     active_tail_ = waiter->prev_;
   }
   waiter->prev_ = waiter->next_ = nullptr;
-}
-
-void BroadcastChannel::ResetStats() {
-  served_per_disk_.assign(program_->num_disks(), 0);
-  total_served_ = 0;
 }
 
 }  // namespace bcast

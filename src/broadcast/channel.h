@@ -78,9 +78,8 @@ class BroadcastChannel {
   /// Requires `EnableResync()` before the first wait.
   void SetProgram(const BroadcastProgram* program, double now);
 
-  /// Awaitable that resumes once \p p has been fully received intact;
-  /// records per-disk service statistics on resumption. With a receiver
-  /// attached, lost/corrupted/dozed-through transmissions re-arm the
+  /// Awaitable that resumes once \p p has been fully received intact.
+  /// With a receiver attached, lost/corrupted/dozed-through transmissions re-arm the
   /// wait instead of resuming it. With a pull server attached, a pull
   /// slot carrying \p p can satisfy the wait before the push schedule
   /// does.
@@ -117,7 +116,7 @@ class BroadcastChannel {
     void ScheduleAttempt(std::coroutine_handle<> h, double listen_from);
 
     // Completes the wait at `end`: deregisters from the pull server,
-    // bumps service stats, stamps via-pull, and resumes the coroutine.
+    // stamps via-pull, and resumes the coroutine.
     void Finish(std::coroutine_handle<> h, double end, bool via_pull);
 
     BroadcastChannel* channel_;
@@ -148,17 +147,6 @@ class BroadcastChannel {
   /// false without a pull server.
   bool last_wait_via_pull() const { return last_wait_via_pull_; }
 
-  /// Pages delivered so far, per disk index.
-  const std::vector<uint64_t>& served_per_disk() const {
-    return served_per_disk_;
-  }
-
-  /// Total pages delivered over the channel.
-  uint64_t total_served() const { return total_served_; }
-
-  /// Resets delivery statistics (e.g. at the end of cache warm-up).
-  void ResetStats();
-
  private:
   friend class PageAwaiter;
 
@@ -172,12 +160,6 @@ class BroadcastChannel {
   }
   double ArrivalEnd(PageId p, double t) const {
     return origin_ + program_->NextArrivalEnd(p, t - origin_);
-  }
-
-  // Books one completed delivery of \p p in the service statistics.
-  void CountServed(PageId p) {
-    ++served_per_disk_[program_->DiskOf(p)];
-    ++total_served_;
   }
 
   des::Simulation* sim_;
@@ -203,8 +185,6 @@ class BroadcastChannel {
   };
   void SwitchLane(uint32_t from, uint32_t to);
   std::vector<LaneView> lane_views_;
-  std::vector<uint64_t> served_per_disk_;
-  uint64_t total_served_ = 0;
   bool last_wait_via_pull_ = false;
 };
 

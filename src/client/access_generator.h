@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "broadcast/types.h"
-#include "client/request_source.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/zipf.h"
@@ -28,7 +27,7 @@ enum class ThinkTimeKind {
 /// probabilities (page 0 hottest); pages outside the range have zero
 /// probability (they model the rest of a larger broadcast serving other
 /// clients).
-class AccessGenerator : public RequestSource {
+class AccessGenerator {
  public:
   /// \param access_range Pages the client ever requests.
   /// \param region_size  Pages per Zipf region.
@@ -44,20 +43,20 @@ class AccessGenerator : public RequestSource {
                                       Rng rng);
 
   /// Draws the next logical page to request.
-  PageId NextPage() override {
+  PageId NextPage() {
     return static_cast<PageId>(zipf_.Sample(&rng_));
   }
 
   /// Draws the next think-time pause.
-  double NextThinkTime() override;
+  double NextThinkTime();
 
   /// Exact access probability of logical \p page (0 outside the range).
-  double Probability(PageId page) const override {
+  double Probability(PageId page) const {
     return zipf_.Probability(page);
   }
 
   /// Number of pages with non-zero probability.
-  uint64_t access_range() const override { return zipf_.access_range(); }
+  uint64_t access_range() const { return zipf_.access_range(); }
 
  private:
   AccessGenerator(RegionZipfGenerator zipf, double think_time,

@@ -10,7 +10,7 @@
 namespace bcast {
 
 Client::Client(des::Simulation* sim, BroadcastChannel* channel,
-               CachePolicy* cache, RequestSource* gen,
+               CachePolicy* cache, AccessGenerator* gen,
                const Mapping* mapping, ClientRunConfig config)
     : sim_(sim),
       channel_(channel),

@@ -22,7 +22,6 @@
 #include "broadcast/channel.h"
 #include "cache/cache_policy.h"
 #include "client/access_generator.h"
-#include "client/request_source.h"
 #include "client/mapping.h"
 #include "core/metrics.h"
 #include "des/simulation.h"
@@ -105,7 +104,7 @@ struct ClientRunConfig {
 class Client {
  public:
   Client(des::Simulation* sim, BroadcastChannel* channel, CachePolicy* cache,
-         RequestSource* gen, const Mapping* mapping, ClientRunConfig config);
+         AccessGenerator* gen, const Mapping* mapping, ClientRunConfig config);
 
   /// The client coroutine; spawn exactly once.
   des::Process Run();
@@ -147,7 +146,7 @@ class Client {
   des::Simulation* sim_;
   BroadcastChannel* channel_;
   CachePolicy* cache_;
-  RequestSource* gen_;
+  AccessGenerator* gen_;
   const Mapping* mapping_;
   ClientRunConfig config_;
   ClientMetrics metrics_;

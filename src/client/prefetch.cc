@@ -9,7 +9,7 @@ namespace bcast {
 
 PrefetchClient::PrefetchClient(des::Simulation* sim,
                                BroadcastChannel* channel,
-                               RequestSource* gen, const Mapping* mapping,
+                               AccessGenerator* gen, const Mapping* mapping,
                                uint64_t capacity,
                                PrefetchClientConfig config)
     : sim_(sim),

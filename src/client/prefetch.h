@@ -27,7 +27,6 @@
 
 #include "broadcast/channel.h"
 #include "client/access_generator.h"
-#include "client/request_source.h"
 #include "client/mapping.h"
 #include "core/metrics.h"
 #include "des/simulation.h"
@@ -51,7 +50,7 @@ struct PrefetchClientConfig {
 class PrefetchClient {
  public:
   PrefetchClient(des::Simulation* sim, BroadcastChannel* channel,
-                 RequestSource* gen, const Mapping* mapping,
+                 AccessGenerator* gen, const Mapping* mapping,
                  uint64_t capacity, PrefetchClientConfig config);
 
   /// The demand request loop (think → request → serve).
@@ -79,7 +78,7 @@ class PrefetchClient {
 
   des::Simulation* sim_;
   BroadcastChannel* channel_;
-  RequestSource* gen_;
+  AccessGenerator* gen_;
   const Mapping* mapping_;
   uint64_t capacity_;
   PrefetchClientConfig config_;

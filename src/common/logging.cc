@@ -49,10 +49,6 @@ void SetLogThreshold(LogLevel level) {
   g_threshold.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogThreshold() {
-  return static_cast<LogLevel>(g_threshold.load(std::memory_order_relaxed));
-}
-
 bool ParseLogLevel(std::string_view name, LogLevel* out) {
   std::string lower(name);
   for (char& c : lower) {

@@ -28,9 +28,6 @@ enum class LogLevel : int {
 /// (default: kWarning, so library code is quiet under test).
 void SetLogThreshold(LogLevel level);
 
-/// \brief Returns the current emission threshold.
-LogLevel GetLogThreshold();
-
 /// \brief Parses a case-insensitive level name ("debug", "info", "warn",
 /// "warning", "error", "fatal") into \p out. Returns false — leaving
 /// \p out untouched — on anything else. Backs the tools' `--log_level`.

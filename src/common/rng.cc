@@ -66,12 +66,6 @@ uint64_t Rng::NextBounded(uint64_t bound) {
   return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  BCAST_CHECK_LE(lo, hi);
-  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
-  return lo + static_cast<int64_t>(NextBounded(span));
-}
-
 bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -65,9 +65,6 @@ class Rng {
   /// Uses Lemire's multiply-shift rejection method (unbiased).
   uint64_t NextBounded(uint64_t bound);
 
-  /// Returns an integer uniform in [\p lo, \p hi] inclusive, lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   /// Returns true with probability \p p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 

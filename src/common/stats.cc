@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
 
 namespace bcast {
 
@@ -43,47 +42,6 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 double RunningStat::ci95_halfwidth() const {
   if (n_ < 2) return 0.0;
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-Histogram::Histogram(double bucket_width, uint64_t num_buckets)
-    : width_(bucket_width), counts_(num_buckets + 1, 0) {
-  BCAST_CHECK_GT(bucket_width, 0.0);
-  BCAST_CHECK_GT(num_buckets, 0u);
-}
-
-void Histogram::Add(double x) {
-  ++count_;
-  if (x < 0.0) x = 0.0;
-  const uint64_t bucket = static_cast<uint64_t>(x / width_);
-  if (bucket >= num_buckets()) {
-    ++counts_.back();
-  } else {
-    ++counts_[bucket];
-  }
-}
-
-double Histogram::bucket_lower(uint64_t i) const {
-  BCAST_CHECK_LT(i, counts_.size());
-  return width_ * static_cast<double>(i);
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double seen = 0.0;
-  for (uint64_t i = 0; i < counts_.size(); ++i) {
-    const double next = seen + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac =
-          (target - seen) / static_cast<double>(counts_[i]);
-      // The overflow bucket has no upper edge; report its lower edge.
-      if (i + 1 == counts_.size()) return bucket_lower(i);
-      return bucket_lower(i) + frac * width_;
-    }
-    seen = next;
-  }
-  return width_ * static_cast<double>(num_buckets());
 }
 
 }  // namespace bcast

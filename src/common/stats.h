@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace bcast {
 
@@ -53,45 +52,6 @@ class RunningStat {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Fixed-width-bucket histogram over [0, bucket_width * num_buckets),
-/// with an overflow bucket. Used to study response-time distributions
-/// (e.g. the Bus Stop Paradox shows up as a fat tail, not just a higher
-/// mean).
-class Histogram {
- public:
-  /// Creates a histogram of \p num_buckets buckets of width
-  /// \p bucket_width (> 0) each.
-  Histogram(double bucket_width, uint64_t num_buckets);
-
-  /// Records one observation. Negative values clamp to the first bucket;
-  /// values beyond the range fall into the overflow bucket.
-  void Add(double x);
-
-  /// Total number of recorded observations.
-  uint64_t count() const { return count_; }
-
-  /// Number of regular (non-overflow) buckets.
-  uint64_t num_buckets() const { return counts_.size() - 1; }
-
-  /// Count in regular bucket \p i.
-  uint64_t bucket_count(uint64_t i) const { return counts_[i]; }
-
-  /// Count of observations beyond the last regular bucket.
-  uint64_t overflow_count() const { return counts_.back(); }
-
-  /// Inclusive lower edge of bucket \p i.
-  double bucket_lower(uint64_t i) const;
-
-  /// Approximate quantile in [0, 1] by linear interpolation inside the
-  /// containing bucket; returns 0 when empty.
-  double Quantile(double q) const;
-
- private:
-  double width_;
-  uint64_t count_ = 0;
-  std::vector<uint64_t> counts_;  // last element is the overflow bucket
 };
 
 }  // namespace bcast

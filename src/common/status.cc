@@ -17,8 +17,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "failed precondition";
     case StatusCode::kNotFound:
       return "not found";
-    case StatusCode::kAlreadyExists:
-      return "already exists";
     case StatusCode::kInternal:
       return "internal";
     case StatusCode::kUnimplemented:
@@ -44,9 +42,6 @@ Status Status::FailedPrecondition(std::string msg) {
 }
 Status Status::NotFound(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
-}
-Status Status::AlreadyExists(std::string msg) {
-  return Status(StatusCode::kAlreadyExists, std::move(msg));
 }
 Status Status::Internal(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));

@@ -25,7 +25,6 @@ enum class StatusCode : uint8_t {
   kOutOfRange = 2,        ///< An index or value lies outside its domain.
   kFailedPrecondition = 3,///< Object state does not permit the operation.
   kNotFound = 4,          ///< A looked-up entity does not exist.
-  kAlreadyExists = 5,     ///< An entity being created already exists.
   kInternal = 6,          ///< An invariant the library maintains was broken.
   kUnimplemented = 7,     ///< A feature is declared but not available.
 };
@@ -55,7 +54,6 @@ class Status {
   static Status OutOfRange(std::string msg);
   static Status FailedPrecondition(std::string msg);
   static Status NotFound(std::string msg);
-  static Status AlreadyExists(std::string msg);
   static Status Internal(std::string msg);
   static Status Unimplemented(std::string msg);
   /// @}

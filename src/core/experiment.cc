@@ -77,20 +77,6 @@ Result<std::vector<double>> SweepNoise(const SimParams& base,
   return out;
 }
 
-Result<RunningStat> ReplicateResponse(const SimParams& params,
-                                      uint64_t num_seeds) {
-  BCAST_CHECK_GE(num_seeds, 1u);
-  RunningStat stat;
-  for (uint64_t i = 0; i < num_seeds; ++i) {
-    SimParams run = params;
-    run.seed = params.seed + i;
-    Result<SimResult> result = RunSimulation(run);
-    if (!result.ok()) return result.status();
-    stat.Add(result->metrics.mean_response_time());
-  }
-  return stat;
-}
-
 void PrintXYTable(std::ostream& out, const std::string& title,
                   const std::string& x_name, const std::vector<double>& xs,
                   const std::vector<Series>& series, int precision) {

@@ -38,11 +38,6 @@ Result<std::vector<double>> SweepNoise(const SimParams& base,
                                        const std::vector<double>& noises,
                                        uint64_t replications = 1);
 
-/// \brief Runs \p params over \p num_seeds consecutive seeds and folds the
-/// per-run mean response times into one statistic (mean of means, CI).
-Result<RunningStat> ReplicateResponse(const SimParams& params,
-                                      uint64_t num_seeds);
-
 /// \brief Prints "title", then an aligned table with column \p x_name and
 /// one column per series. Integral xs print without decimals; the other
 /// xs share the fewest decimals (at least \p precision) that keep every

@@ -210,7 +210,7 @@ struct SimObservers {
 class SimCatalog : public PageCatalog {
  public:
   /// All referents must outlive the catalog.
-  SimCatalog(const RequestSource* gen, const BroadcastProgram* program,
+  SimCatalog(const AccessGenerator* gen, const BroadcastProgram* program,
              const Mapping* mapping)
       : gen_(gen), program_(program), mapping_(mapping) {}
 
@@ -226,7 +226,7 @@ class SimCatalog : public PageCatalog {
   uint64_t NumDisks() const override { return program_->num_disks(); }
 
  private:
-  const RequestSource* gen_;
+  const AccessGenerator* gen_;
   const BroadcastProgram* program_;
   const Mapping* mapping_;
 };

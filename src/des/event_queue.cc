@@ -23,8 +23,6 @@ const char* EventKindName(EventKind kind) {
       return "process_start";
     case EventKind::kDelay:
       return "delay";
-    case EventKind::kSignal:
-      return "signal";
     case EventKind::kSlot:
       return "slot";
     case EventKind::kPull:

@@ -30,14 +30,13 @@ enum class EventKind : uint8_t {
   kGeneric = 0,    ///< untagged call sites
   kProcessStart,   ///< coroutine start scheduled by Spawn
   kDelay,          ///< Delay awaiter resumption (think times)
-  kSignal,         ///< Event::Signal wake-ups
   kSlot,           ///< broadcast-channel slot arrivals
   kPull,           ///< pull-server service/delivery and client timeouts
   kController,     ///< adaptive-controller epoch ticks
 };
 
 /// Number of distinct `EventKind` values (array sizing).
-inline constexpr size_t kNumEventKinds = 7;
+inline constexpr size_t kNumEventKinds = 6;
 
 /// Stable lower-case name of \p kind (report extra keys).
 const char* EventKindName(EventKind kind);

@@ -167,12 +167,11 @@ void Simulation::Run() {
 void Simulation::Drain() {
   BCAST_CHECK(!running_) << "Run is not reentrant";
   running_ = true;
-  stopped_ = false;
   horizon_ = kInf;
   // The unprofiled loop never extracts event kinds — with profiling off
   // the dispatch path is exactly the pre-profiling one.
   if (!profiling_) {
-    while (!stopped_ && !queue_.empty()) {
+    while (!queue_.empty()) {
       double t;
       std::function<void()> fn = queue_.Pop(&t);
       BCAST_CHECK_GE(t, now_) << "event scheduled in the past";
@@ -181,7 +180,7 @@ void Simulation::Drain() {
       fn();
     }
   } else {
-    while (!stopped_ && !queue_.empty()) {
+    while (!queue_.empty()) {
       double t;
       EventKind kind;
       std::function<void()> fn = queue_.Pop(&t, &kind);
@@ -198,9 +197,8 @@ void Simulation::RunUntil(double time) {
   BCAST_CHECK(!running_) << "RunUntil is not reentrant";
   BCAST_CHECK_GE(time, now_);
   running_ = true;
-  stopped_ = false;
   horizon_ = time;
-  while (!stopped_ && !queue_.empty() && queue_.PeekTime() <= time) {
+  while (!queue_.empty() && queue_.PeekTime() <= time) {
     double t;
     std::function<void()> fn;
     if (!profiling_) {
@@ -216,7 +214,7 @@ void Simulation::RunUntil(double time) {
       Dispatch(fn, kind);
     }
   }
-  if (!stopped_ && now_ < time) now_ = time;
+  if (now_ < time) now_ = time;
   running_ = false;
 }
 

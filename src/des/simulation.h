@@ -25,16 +25,16 @@
 /// broadcast slot arriving, a spawned process starting. Such callbacks
 /// resume through `ResumeTail`, which marks the process as the event's
 /// tail. When that process next awaits a wakeup at time t and nothing
-/// can run before it — t is strictly earlier than the pending-set head,
-/// not past the `RunUntil` horizon, and `Stop()` was not called — the
-/// awaiter skips the queue: the clock advances to t, one event of the
-/// wakeup's kind is counted as dispatched, and the process continues
-/// without suspending. Equal-time wakeups still queue, so the (time,
-/// schedule order) contract holds, and `events_dispatched()`, the
-/// per-kind profile counts and every report are exactly those of the
-/// queued path. The gate is the owning frame, not just the head time: a
-/// callback that resumes several processes in a row must not let the
-/// first one run ahead of the others.
+/// can run before it — t is strictly earlier than the pending-set head
+/// and not past the `RunUntil` horizon — the awaiter skips the queue:
+/// the clock advances to t, one event of the wakeup's kind is counted
+/// as dispatched, and the process continues without suspending.
+/// Equal-time wakeups still queue, so the (time, schedule order)
+/// contract holds, and `events_dispatched()`, the per-kind profile
+/// counts and every report are exactly those of the queued path. The
+/// gate is the owning frame, not just the head time: a callback that
+/// resumes several processes in a row must not let the first one run
+/// ahead of the others.
 ///
 /// **Lanes.** A simulation may be split into lanes (the population
 /// engine gives each client of a shard one): each lane has its own clock,
@@ -204,15 +204,12 @@ class Simulation {
   /// so spawn order == start order at time 0).
   void Spawn(Process process);
 
-  /// Runs until no events remain or `Stop()` is called.
+  /// Runs until no events remain.
   void Run();
 
   /// Runs until the clock would pass \p time; events at exactly \p time
   /// still fire. The clock ends at min(time, last event time).
   void RunUntil(double time);
-
-  /// Makes `Run`/`RunUntil` return after the current event completes.
-  void Stop() { stopped_ = true; }
 
   /// Number of events dispatched so far (for tests/benchmarks).
   uint64_t events_dispatched() const { return events_dispatched_; }
@@ -273,7 +270,7 @@ class Simulation {
   /// Otherwise returns false and the awaiter must schedule as usual.
   bool ContinueInline(std::coroutine_handle<> h, double time,
                       EventKind kind) {
-    if (h.address() != tail_ || stopped_ || time > horizon_) return false;
+    if (h.address() != tail_ || time > horizon_) return false;
     if (!queue_.empty() && !(time < queue_.PeekTime())) return false;
     now_ = time;
     ++events_dispatched_;
@@ -315,7 +312,7 @@ class Simulation {
   void Dispatch(std::function<void()>& fn, EventKind kind);
 
   // Run without the timeline span: dispatches the entered lane's events
-  // until it is empty or Stop() is called.
+  // until it is empty.
   void Drain();
 
   // A lane's saved state while another lane is entered.
@@ -326,7 +323,6 @@ class Simulation {
 
   EventQueue queue_;
   double now_ = 0.0;
-  bool stopped_ = false;
   bool running_ = false;
   bool profiling_ = false;
   // The running loop's last dispatchable time: RunUntil's bound, or

@@ -128,60 +128,4 @@ HistogramSummary LogHistogram::Summary() const {
   return s;
 }
 
-LinearHistogram::LinearHistogram(double bucket_width, size_t num_buckets)
-    : width_(bucket_width) {
-  BCAST_CHECK_GT(bucket_width, 0.0);
-  BCAST_CHECK_GE(num_buckets, 1u);
-  counts_.assign(num_buckets + 1, 0);
-}
-
-void LinearHistogram::Add(double value) {
-  // !(>= 0) catches NaN too: NaN / width_ cast to size_t is undefined
-  // behaviour, and NaN would poison sum_/min_/max_.
-  if (!(value >= 0.0)) value = 0.0;
-  size_t idx = static_cast<size_t>(value / width_);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-  ++count_;
-  sum_ += value;
-  min_ = std::min(min_, value);
-  max_ = std::max(max_, value);
-}
-
-void LinearHistogram::Merge(const LinearHistogram& other) {
-  BCAST_CHECK_EQ(counts_.size(), other.counts_.size())
-      << "merging histograms with different geometries";
-  BCAST_CHECK_EQ(width_, other.width_);
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double LinearHistogram::Quantile(double q) const {
-  if (count_ == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count_ - 1);
-  uint64_t before = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double last_in_bucket =
-        static_cast<double>(before + counts_[i] - 1);
-    if (rank <= last_in_bucket) {
-      const double within =
-          counts_[i] == 1
-              ? 0.0
-              : (rank - static_cast<double>(before)) /
-                    static_cast<double>(counts_[i] - 1);
-      const double lower = static_cast<double>(i) * width_;
-      const double upper =
-          i + 1 < counts_.size() ? lower + width_ : std::max(lower, max_);
-      return std::clamp(lower + (upper - lower) * within, min_, max_);
-    }
-    before += counts_[i];
-  }
-  return max_;
-}
-
 }  // namespace bcast::obs

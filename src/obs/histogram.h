@@ -1,6 +1,6 @@
 /// \file histogram.h
-/// \brief Observability histograms: HDR-style log-bucket and fixed-width
-/// linear, both cheap enough for the simulator's hot loop.
+/// \brief The observability histogram: HDR-style log buckets, cheap
+/// enough for the simulator's hot loop.
 ///
 /// `LogHistogram` covers many orders of magnitude (response times range
 /// from 0 slots on a cache hit to a whole broadcast period on an unlucky
@@ -11,8 +11,6 @@
 /// touched so far: an unused histogram allocates nothing, and one that
 /// only ever saw short waits never pays for the long-wait octaves.
 /// `Merge()` combines per-client instances after a multi-client run.
-/// `LinearHistogram` is the classic fixed-width variant for quantities
-/// with a known small range.
 
 #ifndef BCAST_OBS_HISTOGRAM_H_
 #define BCAST_OBS_HISTOGRAM_H_
@@ -125,45 +123,6 @@ class LogHistogram {
   // touched plus GrowTo's headroom; the rest of the num_buckets()
   // geometry reads as 0.
   std::vector<uint64_t> counts_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// \brief Fixed-width-bucket histogram with `Merge`, for bounded-range
-/// quantities (e.g. per-period empty-slot counts).
-class LinearHistogram {
- public:
-  /// \p bucket_width > 0; bucket i covers [i*width, (i+1)*width), with an
-  /// overflow bucket past the last.
-  LinearHistogram(double bucket_width, size_t num_buckets);
-
-  /// Records one observation; negatives and NaN clamp into the first
-  /// bucket.
-  void Add(double value);
-
-  /// Folds \p other in; geometries must match.
-  void Merge(const LinearHistogram& other);
-
-  uint64_t count() const { return count_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-
-  /// Interpolated quantile, clamped to the observed range; 0 when empty.
-  double Quantile(double q) const;
-
-  /// Regular (non-overflow) buckets.
-  size_t num_buckets() const { return counts_.size() - 1; }
-  double bucket_width() const { return width_; }
-  uint64_t bucket_count(size_t i) const { return counts_[i]; }
-  uint64_t overflow_count() const { return counts_.back(); }
-
- private:
-  double width_;
-  std::vector<uint64_t> counts_;  // last element is the overflow bucket
   uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();

@@ -323,8 +323,11 @@ Result<SimResult> RunPopulationSimulation(
       double barrier = kInf;
       if (pull_on) {
         // First round only: a pull slot starting at t=0 can service a
-        // submit from the t=0 client start-up events.
-        const double from = first_round ? t_cursor : t_cursor + 1.0;
+        // submit from the t=0 client start-up events. Later rounds take
+        // the first slot start strictly after the cursor; slot starts
+        // are whole numbers, and a stats barrier need not be.
+        const double from =
+            first_round ? t_cursor : std::floor(t_cursor) + 1.0;
         barrier = std::min(
             barrier, pull_origin + pull_server->layout().NextPullSlotStart(
                                        from - pull_origin));

@@ -1,5 +1,6 @@
 #include "pop/shard.h"
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -127,9 +128,10 @@ void Shard::ApplyMailbox() {
 void Shard::RunRound(double barrier, bool to_completion) {
   ApplyMailbox();
   // A later lane may still query the stall windows from the round start
-  // on, however far the lanes before it ran.
+  // on, however far the lanes before it ran — or from the start of a
+  // pull slot in flight at the round start, floor(round start).
   if (server_faults_ != nullptr && sim_.lanes() > 1) {
-    server_faults_->CapFloor(round_start_);
+    server_faults_->CapFloor(std::floor(round_start_));
   }
   if (to_completion) {
     sim_.RunLanes(std::numeric_limits<double>::infinity());

@@ -107,16 +107,6 @@ TEST(Table1PropertiesTest, SkewFavorsMultiDiskOverFlat) {
             ExpectedDelayForDistribution(Flat3(), skewed_access));
 }
 
-TEST(DelayVarianceTest, FixedGapsGiveUniformWaitVariance) {
-  // With one gap G, the wait is Uniform(0, G): variance G^2 / 12.
-  BroadcastProgram p = Flat3();
-  EXPECT_NEAR(DelayVariance(p, 0), 9.0 / 12.0, 1e-12);
-}
-
-TEST(DelayVarianceTest, SkewIncreasesVariance) {
-  EXPECT_GT(DelayVariance(Skewed3(), 0), DelayVariance(Multi3(), 0));
-}
-
 TEST(GapVarianceTest, ZeroIffFixedInterArrival) {
   EXPECT_DOUBLE_EQ(GapVariance(Multi3(), 0), 0.0);
   EXPECT_GT(GapVariance(Skewed3(), 0), 0.0);

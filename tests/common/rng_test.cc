@@ -90,25 +90,6 @@ TEST(RngTest, NextBoundedRoughlyUniform) {
   }
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  Rng rng(17);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t v = rng.NextInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(RngTest, NextIntSingleton) {
-  Rng rng(18);
-  EXPECT_EQ(rng.NextInt(42, 42), 42);
-}
-
 TEST(RngTest, BernoulliEdgeCases) {
   Rng rng(19);
   for (int i = 0; i < 100; ++i) {

@@ -88,54 +88,5 @@ TEST(RunningStatTest, ResetClears) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h(10.0, 5);  // [0,50) + overflow
-  h.Add(0.0);
-  h.Add(9.99);
-  h.Add(10.0);
-  h.Add(49.9);
-  h.Add(50.0);
-  h.Add(1000.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(4), 1u);
-  EXPECT_EQ(h.overflow_count(), 2u);
-}
-
-TEST(HistogramTest, NegativeClampsToFirstBucket) {
-  Histogram h(1.0, 3);
-  h.Add(-5.0);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-}
-
-TEST(HistogramTest, BucketLowerEdges) {
-  Histogram h(2.5, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_lower(3), 7.5);
-}
-
-TEST(HistogramTest, QuantileOnEmptyIsZero) {
-  Histogram h(1.0, 10);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-}
-
-TEST(HistogramTest, QuantileApproximatesUniform) {
-  Histogram h(1.0, 100);
-  Rng rng(79);
-  for (int i = 0; i < 100000; ++i) h.Add(rng.NextDouble() * 100.0);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.1), 10.0, 2.0);
-}
-
-TEST(HistogramTest, QuantileClampsArgument) {
-  Histogram h(1.0, 4);
-  h.Add(0.5);
-  h.Add(1.5);
-  EXPECT_GE(h.Quantile(-1.0), 0.0);
-  EXPECT_LE(h.Quantile(2.0), 4.0);
-}
-
 }  // namespace
 }  // namespace bcast

@@ -32,7 +32,6 @@ TEST(StatusTest, AllNamedConstructorsProduceTheirCode) {
   EXPECT_EQ(Status::FailedPrecondition("x").code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::NotFound("x").code(), StatusCode::kNotFound);
-  EXPECT_EQ(Status::AlreadyExists("x").code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
 }

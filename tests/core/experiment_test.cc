@@ -41,15 +41,6 @@ TEST(SweepNoiseTest, MoreNoiseNeverHelpsMatchedBroadcast) {
   EXPECT_LT((*values)[0], (*values)[2]);
 }
 
-TEST(ReplicateResponseTest, AggregatesAcrossSeeds) {
-  auto stat = ReplicateResponse(TinyParams(), 3);
-  ASSERT_TRUE(stat.ok());
-  EXPECT_EQ(stat->count(), 3u);
-  EXPECT_GT(stat->mean(), 0.0);
-  // Independent seeds should produce *some* spread.
-  EXPECT_GT(stat->max(), stat->min());
-}
-
 TEST(PrintXYTableTest, RendersTitleHeadersAndValues) {
   std::ostringstream out;
   PrintXYTable(out, "Figure X", "Delta", {0.0, 1.0},

@@ -399,10 +399,6 @@ Process Script(ScriptWorld* world, int id, Rng rng, uint64_t steps) {
       sim->Schedule(DrawScriptDelay(rng),
                     [world, n] { WakeParked(world, n); });
       co_await Park{world};
-    } else if (roll < 92) {
-      // Stop in the middle of a stretch: the next wakeup must wait for
-      // the next Run/RunUntil call.
-      sim->Stop();
     } else {
       sim->Schedule(DrawScriptDelay(rng), [world, sim] {
         world->trace.push_back(TraceStep{TraceStep::kSideEvent, sim->Now()});

@@ -62,21 +62,6 @@ TEST(SimulationTest, CancelPreventsCallback) {
   EXPECT_FALSE(fired);
 }
 
-TEST(SimulationTest, StopHaltsTheLoop) {
-  Simulation sim;
-  int fired = 0;
-  sim.Schedule(1.0, [&] {
-    ++fired;
-    sim.Stop();
-  });
-  sim.Schedule(2.0, [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  // The remaining event still exists; a new Run picks it up.
-  sim.Run();
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(SimulationTest, RunUntilStopsAtBoundary) {
   Simulation sim;
   std::vector<double> fired;
@@ -253,30 +238,13 @@ TEST(TailResumeTest, LoneProcessDelaysSkipTheQueue) {
   EXPECT_EQ(sim.events_dispatched(), 52u);  // start, 50 wakeups, probe
 }
 
-Process StopAfter(Simulation* sim, int n, std::vector<double>* log) {
-  for (int i = 1;; ++i) {
-    co_await sim->Delay(1.0);
-    log->push_back(sim->Now());
-    if (i == n) sim->Stop();
-  }
-}
-
-TEST(TailResumeTest, HorizonAndStopKeepTheNextWakeupQueued) {
+TEST(TailResumeTest, HorizonKeepsTheNextWakeupQueued) {
   Simulation sim;
   sim.Spawn(Forever(&sim));
   sim.RunUntil(3.0);  // wakeups at exactly 3 still run
   EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
   EXPECT_EQ(sim.queue().size(), 1u);  // the wakeup at 4
   EXPECT_EQ(sim.events_dispatched(), 4u);
-
-  Simulation stopped;
-  std::vector<double> log;
-  stopped.Spawn(StopAfter(&stopped, 2, &log));
-  stopped.Run();
-  EXPECT_EQ(log, (std::vector<double>{1.0, 2.0}));
-  EXPECT_EQ(stopped.queue().size(), 1u);  // the wakeup at 3
-  stopped.RunUntil(4.0);
-  EXPECT_EQ(log, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
 }
 
 TEST(ProfilingTest, DisabledByDefaultAndZeroed) {

@@ -1,7 +1,7 @@
 // Deterministic pseudo-fuzzing of the text-format loaders: whatever the
-// bytes, LoadProgram/Trace::Load must either return a *valid* object or a
-// clean error — never crash, hang, or hand back a program that would
-// stall a client.
+// bytes, LoadProgram must either return a *valid* object or a clean
+// error — never crash, hang, or hand back a program that would stall a
+// client.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "broadcast/generator.h"
 #include "broadcast/serialize.h"
 #include "check/invariants.h"
-#include "client/trace.h"
 #include "common/rng.h"
 #include "obs/report_reader.h"
 #include "obs/run_report.h"
@@ -72,16 +71,6 @@ void CheckProgramLoad(const std::string& text) {
   }
 }
 
-void CheckTraceLoad(const std::string& text) {
-  std::istringstream in(text);
-  Result<Trace> trace = Trace::Load(&in);
-  if (!trace.ok()) return;
-  ASSERT_GT(trace->size(), 0u);
-  for (PageId p : trace->pages()) {
-    ASSERT_LT(p, trace->access_range());
-  }
-}
-
 TEST(FuzzLoadersTest, ProgramLoaderSurvivesGarbage) {
   Rng rng(0xF00D);
   for (int i = 0; i < 3000; ++i) {
@@ -108,26 +97,6 @@ TEST(FuzzLoadersTest, ProgramLoaderSurvivesMutatedValidFiles) {
   // Some mutations (e.g. inside slot ids) still parse — that's fine, but
   // the vast majority must be rejected.
   EXPECT_LT(still_valid, 1500);
-}
-
-TEST(FuzzLoadersTest, TraceLoaderSurvivesGarbage) {
-  Rng rng(0xCAFE);
-  for (int i = 0; i < 3000; ++i) {
-    CheckTraceLoad(RandomBytes(&rng, 300));
-  }
-}
-
-TEST(FuzzLoadersTest, TraceLoaderSurvivesMutatedValidFiles) {
-  auto trace = Trace::Make({0, 1, 2, 1, 0, 3}, 2.0);
-  ASSERT_TRUE(trace.ok());
-  std::ostringstream out;
-  ASSERT_TRUE(trace->Save(&out).ok());
-  const std::string valid = out.str();
-
-  Rng rng(0xD1CE);
-  for (int i = 0; i < 3000; ++i) {
-    CheckTraceLoad(Mutate(valid, &rng));
-  }
 }
 
 // --- Run-report JSON reader ---------------------------------------------

@@ -263,83 +263,5 @@ TEST_F(LogHistogramStorageTest, ResetThenRefill) {
   ExpectSameHistogram(h, all_);
 }
 
-TEST(LinearHistogramTest, EmptyQuantilesAreZero) {
-  LinearHistogram h(10.0, 5);
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Quantile(0.0), 0.0);
-  EXPECT_EQ(h.Quantile(0.5), 0.0);
-  EXPECT_EQ(h.Quantile(1.0), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
-TEST(LinearHistogramTest, SingleSampleQuantilesCollapse) {
-  LinearHistogram h(10.0, 5);
-  h.Add(37.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 37.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 37.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 37.0);
-}
-
-TEST(LinearHistogramTest, NanClampsToZero) {
-  LinearHistogram h(10.0, 5);
-  h.Add(std::nan(""));
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_DOUBLE_EQ(h.min(), 0.0);
-  EXPECT_FALSE(std::isnan(h.Quantile(0.5)));
-}
-
-TEST(LinearHistogramTest, OverflowBucketQuantilesStayInObservedRange) {
-  // All mass beyond the tracked range: quantiles must interpolate between
-  // the overflow bucket's lower edge and the observed max, never NaN or a
-  // value outside [min, max].
-  LinearHistogram h(10.0, 5);  // overflow starts at 50
-  h.Add(60.0);
-  h.Add(80.0);
-  h.Add(120.0);
-  for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const double v = h.Quantile(q);
-    EXPECT_GE(v, 60.0) << "q=" << q;
-    EXPECT_LE(v, 120.0) << "q=" << q;
-  }
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 120.0);
-}
-
-TEST(LinearHistogramTest, BucketsAndOverflow) {
-  LinearHistogram h(10.0, 5);  // [0,10) ... [40,50), then overflow
-  h.Add(0.0);
-  h.Add(9.9);
-  h.Add(10.0);
-  h.Add(49.0);
-  h.Add(1000.0);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 1u);
-  EXPECT_EQ(h.bucket_count(4), 1u);
-  EXPECT_EQ(h.overflow_count(), 1u);
-  EXPECT_DOUBLE_EQ(h.max(), 1000.0);
-}
-
-TEST(LinearHistogramTest, QuantileInterpolation) {
-  LinearHistogram h(1.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(static_cast<double>(i));
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.Quantile(0.99), 99.0, 2.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 99.0);
-}
-
-TEST(LinearHistogramTest, MergeAddsCounts) {
-  LinearHistogram a(1.0, 10);
-  LinearHistogram b(1.0, 10);
-  a.Add(1.5);
-  b.Add(2.5);
-  b.Add(100.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.bucket_count(1), 1u);
-  EXPECT_EQ(a.bucket_count(2), 1u);
-  EXPECT_EQ(a.overflow_count(), 1u);
-}
-
 }  // namespace
 }  // namespace bcast::obs

@@ -247,6 +247,71 @@ TEST(ShardMatrixTest, MidSlotWaitsMissThePullSlot) {
   }
 }
 
+// A run's report and stats lines at \p shards, with the fields that may
+// differ across shard counts cleared: wall clock and `pop_shards`.
+std::pair<std::string, std::vector<std::string>> ObservedRun(
+    const MultiClientParams& params, uint64_t shards, double interval) {
+  std::ostringstream stream;
+  obs::StatsWriter writer(&stream);
+  SimObservers observers;
+  observers.stats = &writer;
+  observers.stats_interval = interval;
+  PopParams pop;
+  pop.clients = params.clients.size();
+  pop.shards = shards;
+  auto result = RunPopulationSimulation(params, pop, observers);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return {};
+  obs::RunReport report = MakeRunReport(params, *result, "pop_test", "test");
+  AppendPopulationExtras(pop, *result, &report);
+  std::vector<std::string> lines;
+  std::istringstream in(stream.str());
+  std::string line;
+  while (std::getline(in, line)) {
+    auto sample = obs::ParseStatsLine(line);
+    EXPECT_TRUE(sample.ok()) << sample.status().ToString() << ": " << line;
+    if (!sample.ok()) continue;
+    sample->wall_seconds = 0.0;
+    sample->pop_shards = 0;
+    std::ostringstream normalized;
+    obs::StatsWriter(&normalized).Write(*sample);
+    lines.push_back(normalized.str());
+  }
+  return {SimulationBytes(std::move(report)), std::move(lines)};
+}
+
+TEST(ShardMatrixTest, FractionalStatsBarriersKeepPullRunsInvariant) {
+  // Stats barriers off the integer grid fall inside pull slots. The next
+  // pull-slot barrier must still be the next slot start, and a stall
+  // query from the start of a slot in flight at a round start must stay
+  // above the shard's fault floor. Crashes and stalls each exercise one.
+  SimParams crowd;
+  crowd.disk_sizes = {10, 30, 60};
+  crowd.access_range = 40;
+  crowd.cache_size = 4;
+  crowd.think_time = 0.5;
+  crowd.measured_requests = 200;
+  crowd.pull.pull_slots = 2;
+  crowd.pull.threshold = 0.0;
+  crowd.fault.loss = 0.1;
+  SimParams crashes = crowd;
+  crashes.fault.process.crash_every = 3000.0;
+  crashes.fault.process.crash_down = 20.0;
+  SimParams stalls = crowd;
+  stalls.fault.process.stall_every = 300.0;
+  stalls.fault.process.stall_len = 5.0;
+  for (const auto& [name, config] :
+       {std::pair{"crashes", crashes}, std::pair{"stalls", stalls}}) {
+    SCOPED_TRACE(name);
+    const MultiClientParams params = PopulationFromSimParams(config, 20);
+    const auto one = ObservedRun(params, 1, 7.25);
+    const auto twenty = ObservedRun(params, 20, 7.25);
+    ASSERT_GT(one.second.size(), 3u);
+    EXPECT_EQ(twenty.first, one.first);
+    EXPECT_EQ(twenty.second, one.second);
+  }
+}
+
 // The trace records of a run at \p sample, sorted: the multiset, since
 // records of different clients interleave differently per layout.
 std::vector<std::string> SortedTrace(const MultiClientParams& params,
