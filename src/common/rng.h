@@ -11,6 +11,7 @@
 #define BCAST_COMMON_RNG_H_
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "common/logging.h"
@@ -56,22 +57,55 @@ class Rng {
   /// @}
 
   /// Returns the next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
   /// Returns a double uniform in [0, 1) with 53 random bits.
-  double NextDouble();
+  double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
   /// Returns an integer uniform in [0, \p bound), bound > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    BCAST_CHECK_GT(bound, 0u);
+    // Lemire (2019): multiply-shift with rejection of the biased region.
+    uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * bound;
+    uint64_t low = static_cast<uint64_t>(m);
+    if (low < bound) {
+      const uint64_t threshold = -bound % bound;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * bound;
+        low = static_cast<uint64_t>(m);
+      }
+    }
+    return static_cast<uint64_t>(m >> 64);
+  }
 
   /// Returns true with probability \p p (clamped to [0, 1]).
   bool NextBernoulli(double p);
 
   /// Returns an exponentially distributed value with mean \p mean > 0.
-  double NextExponential(double mean);
+  double NextExponential(double mean) {
+    BCAST_CHECK_GT(mean, 0.0);
+    // 1 - U is in (0, 1], so the log is finite.
+    return -mean * std::log(1.0 - NextDouble());
+  }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<uint64_t, 4> s_;
 };
 

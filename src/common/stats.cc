@@ -3,17 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-
 namespace bcast {
-
-void RunningStat::Add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
 
 void RunningStat::Merge(const RunningStat& other) {
   if (other.n_ == 0) return;

@@ -4,6 +4,7 @@
 #ifndef BCAST_COMMON_STATS_H_
 #define BCAST_COMMON_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 
@@ -13,7 +14,14 @@ namespace bcast {
 class RunningStat {
  public:
   /// Folds one observation into the statistic.
-  void Add(double x);
+  void Add(double x) {
+    ++n_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   /// Merges another statistic into this one (parallel Welford).
   void Merge(const RunningStat& other);

@@ -1,20 +1,29 @@
 #include "common/zipf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
 namespace bcast {
-namespace {
 
-// Index of the first CDF entry >= u; u in [0, 1).
-uint64_t CdfLookup(const std::vector<double>& cdf, double u) {
-  auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-  if (it == cdf.end()) --it;  // guard against floating-point round-off
-  return static_cast<uint64_t>(it - cdf.begin());
+CdfGuide::CdfGuide(std::vector<double> cdf)
+    : cdf_(std::move(cdf)),
+      guide_(std::bit_ceil(cdf_.size())),
+      scale_(static_cast<double>(guide_.size())),
+      shift_(std::max(
+          0, static_cast<int>(std::bit_width(cdf_.size() - 1)) - 16)) {
+  BCAST_CHECK(!cdf_.empty());
+  BCAST_CHECK_EQ(cdf_.back(), 1.0);
+  // One sweep: i only moves forward as k / M grows. It stops at the last
+  // entry at the latest, because k / M < 1 == cdf_.back().
+  uint64_t i = 0;
+  for (uint64_t k = 0; k < guide_.size(); ++k) {
+    const double edge = static_cast<double>(k) / scale_;
+    while (cdf_[i] < edge) ++i;
+    guide_[k] = static_cast<uint16_t>(i >> shift_);
+  }
 }
-
-}  // namespace
 
 Result<ZipfDistribution> ZipfDistribution::Make(uint64_t n, double theta) {
   if (n == 0) {
@@ -38,13 +47,10 @@ Result<ZipfDistribution> ZipfDistribution::Make(uint64_t n, double theta) {
 double ZipfDistribution::Probability(uint64_t rank) const {
   BCAST_CHECK_GE(rank, 1u);
   BCAST_CHECK_LE(rank, n());
-  const double hi = cdf_[rank - 1];
-  const double lo = rank >= 2 ? cdf_[rank - 2] : 0.0;
+  const std::vector<double>& cdf = cdf_.cdf();
+  const double hi = cdf[rank - 1];
+  const double lo = rank >= 2 ? cdf[rank - 2] : 0.0;
   return hi - lo;
-}
-
-uint64_t ZipfDistribution::Sample(Rng* rng) const {
-  return CdfLookup(cdf_, rng->NextDouble()) + 1;
 }
 
 Result<RegionZipfGenerator> RegionZipfGenerator::Make(uint64_t access_range,
@@ -88,19 +94,9 @@ Result<RegionZipfGenerator> RegionZipfGenerator::Make(uint64_t access_range,
                              std::move(page_prob));
 }
 
-uint64_t RegionZipfGenerator::PagesInRegion(uint64_t region) const {
-  return std::min(region_size_, access_range_ - region * region_size_);
-}
-
 double RegionZipfGenerator::Probability(uint64_t page) const {
   if (page >= access_range_) return 0.0;
   return page_prob_by_region_[page / region_size_];
-}
-
-uint64_t RegionZipfGenerator::Sample(Rng* rng) const {
-  const uint64_t region = CdfLookup(region_cdf_, rng->NextDouble());
-  const uint64_t offset = rng->NextBounded(PagesInRegion(region));
-  return region * region_size_ + offset;
 }
 
 }  // namespace bcast

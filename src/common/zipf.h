@@ -6,11 +6,13 @@
 /// probability of accessing region r (1-based) is proportional to
 /// (1/r)^theta, and pages within a region are equiprobable. Region 1 holds
 /// the hottest pages. This file implements both the plain Zipf distribution
-/// and the region variant.
+/// and the region variant. Both sample by inverting a CDF through a
+/// `CdfGuide`, which finds the index in O(1) expected time.
 
 #ifndef BCAST_COMMON_ZIPF_H_
 #define BCAST_COMMON_ZIPF_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,11 +21,47 @@
 
 namespace bcast {
 
+/// \brief A CDF with a guide table for inversion: the "indexed search" of
+/// Chen & Asau (1974).
+///
+/// The table has M entries, M the power of two >= the CDF's length, and
+/// entry k is the first index i with `cdf[i] >= k / M`. For u in [0, 1),
+/// k = floor(u * M) is exact (M is a power of two), so k / M <= u and that
+/// entry is at or before the first index with `cdf[i] >= u`. `Find` starts
+/// there and steps forward while `cdf[i] < u`: it returns the same index
+/// `std::lower_bound` does, after at most one step on average. Entries are
+/// 16-bit, because every population client holds its own table; a CDF
+/// longer than 65536 stores each entry rounded down to a multiple of
+/// 2^shift, which only lengthens the forward scan.
+class CdfGuide {
+ public:
+  /// \p cdf holds the running sums of a distribution with its last entry
+  /// set to exactly 1 (an earlier sum may have rounded a little above 1).
+  explicit CdfGuide(std::vector<double> cdf);
+
+  /// The CDF.
+  const std::vector<double>& cdf() const { return cdf_; }
+
+  /// Index of the first CDF entry >= \p u, for u in [0, 1). Such an
+  /// entry always exists: the last one is 1.
+  uint64_t Find(double u) const {
+    uint64_t i = uint64_t{guide_[static_cast<size_t>(u * scale_)]} << shift_;
+    while (cdf_[i] < u) ++i;
+    return i;
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<uint16_t> guide_;  // M entries, each index >> shift_
+  double scale_;                 // M
+  int shift_;
+};
+
 /// \brief A Zipf(theta) distribution over ranks 1..n.
 ///
 /// P(rank = i) = (1/i)^theta / H where H = sum_j (1/j)^theta.
 /// theta = 0 degenerates to uniform; larger theta is more skewed.
-/// Sampling is O(log n) by binary search over the precomputed CDF.
+/// Sampling takes O(1) expected time through a guide table (`CdfGuide`).
 class ZipfDistribution {
  public:
   /// Creates a distribution over ranks 1..\p n with skew \p theta.
@@ -31,7 +69,7 @@ class ZipfDistribution {
   static Result<ZipfDistribution> Make(uint64_t n, double theta);
 
   /// Number of ranks.
-  uint64_t n() const { return static_cast<uint64_t>(cdf_.size()); }
+  uint64_t n() const { return static_cast<uint64_t>(cdf_.cdf().size()); }
 
   /// Skew parameter.
   double theta() const { return theta_; }
@@ -40,13 +78,13 @@ class ZipfDistribution {
   double Probability(uint64_t rank) const;
 
   /// Draws a rank in [1, n] from \p rng.
-  uint64_t Sample(Rng* rng) const;
+  uint64_t Sample(Rng* rng) const { return cdf_.Find(rng->NextDouble()) + 1; }
 
  private:
   ZipfDistribution(std::vector<double> cdf, double theta)
       : cdf_(std::move(cdf)), theta_(theta) {}
 
-  std::vector<double> cdf_;  // cdf_[i] = P(rank <= i + 1); back() == 1.
+  CdfGuide cdf_;  // cdf()[i] = P(rank <= i + 1); back() == 1.
   double theta_;
 };
 
@@ -71,13 +109,19 @@ class RegionZipfGenerator {
   uint64_t region_size() const { return region_size_; }
 
   /// Number of regions.
-  uint64_t num_regions() const { return static_cast<uint64_t>(region_cdf_.size()); }
+  uint64_t num_regions() const {
+    return static_cast<uint64_t>(region_cdf_.cdf().size());
+  }
 
   /// Exact access probability of logical \p page; 0 outside the range.
   double Probability(uint64_t page) const;
 
   /// Draws a logical page in [0, access_range) from \p rng.
-  uint64_t Sample(Rng* rng) const;
+  uint64_t Sample(Rng* rng) const {
+    const uint64_t region = region_cdf_.Find(rng->NextDouble());
+    const uint64_t offset = rng->NextBounded(PagesInRegion(region));
+    return region * region_size_ + offset;
+  }
 
  private:
   RegionZipfGenerator(uint64_t access_range, uint64_t region_size,
@@ -88,11 +132,13 @@ class RegionZipfGenerator {
         region_cdf_(std::move(region_cdf)),
         page_prob_by_region_(std::move(page_prob_by_region)) {}
 
-  uint64_t PagesInRegion(uint64_t region) const;
+  uint64_t PagesInRegion(uint64_t region) const {
+    return std::min(region_size_, access_range_ - region * region_size_);
+  }
 
   uint64_t access_range_;
   uint64_t region_size_;
-  std::vector<double> region_cdf_;           // cumulative region probability
+  CdfGuide region_cdf_;                      // cumulative region probability
   std::vector<double> page_prob_by_region_;  // per-page probability in region
 };
 

@@ -4,24 +4,6 @@
 
 namespace bcast {
 
-void ClientMetrics::RecordHit(double response_time) {
-  response_time_.Add(response_time);
-  response_hist_.Add(response_time);
-  ++cache_hits_;
-}
-
-void ClientMetrics::RecordMiss(double response_time, DiskIndex disk) {
-  BCAST_CHECK_LT(disk, served_per_disk_.size());
-  response_time_.Add(response_time);
-  response_hist_.Add(response_time);
-  ++served_per_disk_[disk];
-}
-
-void ClientMetrics::RecordTuning(double slots) {
-  tuning_time_.Add(slots);
-  tuning_hist_.Add(slots);
-}
-
 double ClientMetrics::hit_rate() const {
   const uint64_t total = requests();
   return total == 0

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "broadcast/types.h"
+#include "common/logging.h"
 #include "common/stats.h"
 #include "obs/histogram.h"
 
@@ -36,11 +37,20 @@ class ClientMetrics {
 
   /// Records a request served from the cache in \p response_time units
   /// (normally 0 — cache probes are instantaneous in the model).
-  void RecordHit(double response_time);
+  void RecordHit(double response_time) {
+    response_time_.Add(response_time);
+    response_hist_.Add(response_time);
+    ++cache_hits_;
+  }
 
   /// Records a request served from the broadcast: the page came off disk
   /// \p disk after \p response_time units.
-  void RecordMiss(double response_time, DiskIndex disk);
+  void RecordMiss(double response_time, DiskIndex disk) {
+    BCAST_CHECK_LT(disk, served_per_disk_.size());
+    response_time_.Add(response_time);
+    response_hist_.Add(response_time);
+    ++served_per_disk_[disk];
+  }
 
   /// Requests recorded.
   uint64_t requests() const { return response_time_.count(); }
@@ -80,7 +90,10 @@ class ClientMetrics {
   /// Records radio-on time for one request (broadcast units). With a
   /// known schedule a miss costs 1 slot of listening; without one it
   /// costs the whole wait (see ClientRunConfig::knows_schedule).
-  void RecordTuning(double slots);
+  void RecordTuning(double slots) {
+    tuning_time_.Add(slots);
+    tuning_hist_.Add(slots);
+  }
 
   /// Radio-on time statistics (the paper's Section-2.1 energy argument).
   const RunningStat& tuning_time() const { return tuning_time_; }

@@ -30,24 +30,28 @@ Result<UpdateTracker> UpdateTracker::Make(PageId num_pages,
       rates[p] = total_rate * zipf->Probability(p + 1);
     }
   }
-  return UpdateTracker(std::move(rates), rng);
+  return UpdateTracker(rates, rng);
 }
 
-UpdateTracker::UpdateTracker(std::vector<double> rates, Rng rng)
-    : rates_(std::move(rates)), clocks_(rates_.size()), rng_(rng) {
+UpdateTracker::UpdateTracker(const std::vector<double>& rates, Rng rng)
+    : means_(rates.size(), 0.0), clocks_(rates.size()), rng_(rng) {
   for (PageId p = 0; p < clocks_.size(); ++p) {
-    clocks_[p].next = rates_[p] > 0.0
-                          ? rng_.NextExponential(1.0 / rates_[p])
-                          : std::numeric_limits<double>::infinity();
+    if (rates[p] > 0.0) {
+      means_[p] = 1.0 / rates[p];
+      clocks_[p].next = rng_.NextExponential(means_[p]);
+    } else {
+      clocks_[p].next = std::numeric_limits<double>::infinity();
+    }
   }
 }
 
 double UpdateTracker::LastUpdateBefore(PageId page, double now) {
   BCAST_CHECK_LT(page, clocks_.size());
   PageClock& clock = clocks_[page];
+  const double mean = means_[page];
   while (clock.next <= now) {
     clock.last = clock.next;
-    clock.next += rng_.NextExponential(1.0 / rates_[page]);
+    clock.next += rng_.NextExponential(mean);
     ++updates_;
   }
   return clock.last < 0.0 ? -std::numeric_limits<double>::infinity()

@@ -107,14 +107,16 @@ class UpdateTracker {
   uint64_t updates_generated() const { return updates_; }
 
  private:
-  UpdateTracker(std::vector<double> rates, Rng rng);
+  UpdateTracker(const std::vector<double>& rates, Rng rng);
 
   struct PageClock {
     double last = -1.0;  // last update time; < 0 means none yet
     double next = 0.0;   // next scheduled update
   };
 
-  std::vector<double> rates_;  // per-page update rate (may be 0)
+  // Per-page mean time between updates, 1 / rate; 0 for a page whose
+  // rate is 0, as its clock never comes due.
+  std::vector<double> means_;
   std::vector<PageClock> clocks_;
   Rng rng_;
   uint64_t updates_ = 0;

@@ -29,13 +29,9 @@ Process::~Process() {
   if (handle_) handle_.destroy();
 }
 
-bool DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
-  BCAST_CHECK_GE(delay_, 0.0);
-  const double wake = sim_->Now() + delay_;
-  if (sim_->ContinueInline(h, wake, EventKind::kDelay)) return false;
+void DelayAwaiter::ScheduleWakeup(std::coroutine_handle<> h, double wake) {
   sim_->ScheduleAt(wake, [sim = sim_, h]() { sim->ResumeTail(h); },
                    EventKind::kDelay);
-  return true;
 }
 
 namespace {

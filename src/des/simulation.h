@@ -57,6 +57,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.h"
 #include "des/event_queue.h"
 
 namespace bcast::obs {
@@ -160,10 +161,13 @@ class DelayAwaiter {
 
   bool await_ready() const noexcept { return false; }
   /// False when the wakeup continues inline (no suspension).
-  bool await_suspend(std::coroutine_handle<> h);
+  inline bool await_suspend(std::coroutine_handle<> h);
   void await_resume() const noexcept {}
 
  private:
+  // Queues the wakeup of \p h at \p wake (the suspending path).
+  void ScheduleWakeup(std::coroutine_handle<> h, double wake);
+
   Simulation* sim_;
   double delay_;
 };
@@ -343,6 +347,14 @@ class Simulation {
   std::vector<double> lane_wake_;
   std::function<void(uint32_t, uint32_t)> on_lane_switch_;
 };
+
+bool DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
+  BCAST_CHECK_GE(delay_, 0.0);
+  const double wake = sim_->Now() + delay_;
+  if (sim_->ContinueInline(h, wake, EventKind::kDelay)) return false;
+  ScheduleWakeup(h, wake);
+  return true;
+}
 
 }  // namespace bcast::des
 
