@@ -258,6 +258,39 @@ int Run() {
   }
 
   {
+    // A coupled population: 24 lossy pull clients with adaptation, the
+    // CI lanes_coupled config (bcastsim --mode=population --clients=24
+    // --cache_size=50 --access_range=5000 --loss=0.05 --pull_slots=2
+    // --pull_threshold=100 --adapt_epoch=4). Gates the barrier exchange
+    // between shards and coordinator: uplink replay, pull mirrors and
+    // program switches.
+    SimParams base;
+    base.measured_requests = kRequests;
+    base.seed = kSeed;
+    base.cache_size = 50;
+    base.access_range = 5000;
+    base.fault.loss = 0.05;
+    base.pull.pull_slots = 2;
+    base.pull.threshold = 100.0;
+    base.adapt.epoch_cycles = 4;
+    const MultiClientParams params = PopulationFromSimParams(base, 24);
+    auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
+    if (!result.ok()) {
+      std::cerr << "population_pull_adapt_d5: "
+                << result.status().ToString() << "\n";
+      ++failures;
+    } else {
+      obs::RunReport report =
+          MakeRunReport(params, *result, base.ToString(), kTool);
+      if (!WriteReport(report, out_dir, "population_pull_adapt_d5",
+                       result->response_across_clients.mean(),
+                       kRequests)) {
+        ++failures;
+      }
+    }
+  }
+
+  {
     // Updates with invalidation broadcasts (bcastsim --mode=updates
     // --consistency=invalidate), the paper's Section-6 setting.
     SimParams base;

@@ -149,6 +149,23 @@ TEST(GoldenBaselineTest, PopulationGoldenMatches) {
       MakeRunReport(params, *result, base.ToString(), kTool));
 }
 
+TEST(GoldenBaselineTest, CoupledPopulationGoldenMatches) {
+  SimParams base;
+  base.measured_requests = kRequests;
+  base.seed = kSeed;
+  base.cache_size = 50;
+  base.access_range = 5000;
+  base.fault.loss = 0.05;
+  base.pull.pull_slots = 2;
+  base.pull.threshold = 100.0;
+  base.adapt.epoch_cycles = 4;
+  const MultiClientParams params = PopulationFromSimParams(base, 24);
+  auto result = pop::RunPopulationSimulation(params, pop::PopParams{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectMatchesGolden(
+      MakeRunReport(params, *result, base.ToString(), kTool));
+}
+
 TEST(GoldenBaselineTest, UpdatesGoldenMatches) {
   SimParams base;
   base.measured_requests = kRequests;
