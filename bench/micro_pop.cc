@@ -1,6 +1,6 @@
 // Microbenchmarks: the sharded population engine — end-to-end rounds at
-// several shard counts (the scaling knob), population size scaling at a
-// fixed shard count, and the SPSC uplink queue the shards talk through.
+// several shard counts (the scaling knob) and population size scaling at
+// a fixed shard count.
 //
 // The engine runs shard 0 on the calling thread and shards 1..K-1 on K-1
 // worker threads, so the population benches measure wall time
@@ -20,7 +20,6 @@
 #include "core/multi_client.h"
 #include "pop/engine.h"
 #include "pop/pop_params.h"
-#include "pop/spsc_queue.h"
 
 namespace bcast {
 namespace {
@@ -86,35 +85,6 @@ BENCHMARK(BM_PopulationScale)
     ->UseRealTime()
     ->MeasureProcessCPUTime()
     ->Unit(benchmark::kMillisecond);
-
-// Single-threaded ring push/pop steady state: the uplink fast path.
-void BM_SpscPushPop(benchmark::State& state) {
-  pop::SpscQueue<uint64_t> q(1024);
-  uint64_t i = 0;
-  uint64_t out = 0;
-  for (auto _ : state) {
-    q.Push(i++);
-    benchmark::DoNotOptimize(q.TryPop(&out));
-  }
-  state.SetItemsProcessed(state.iterations() * 2);
-}
-BENCHMARK(BM_SpscPushPop);
-
-// The barrier-drain shape: a round's worth of submits pushed, then the
-// coordinator drains them all. Arg is the batch per round; sized both
-// under and over the ring so the spill path is measured too.
-void BM_SpscBarrierDrain(benchmark::State& state) {
-  const uint64_t batch = static_cast<uint64_t>(state.range(0));
-  pop::SpscQueue<uint64_t> q(1024);
-  uint64_t out = 0;
-  for (auto _ : state) {
-    for (uint64_t i = 0; i < batch; ++i) q.Push(i);
-    while (q.TryPop(&out)) benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_SpscBarrierDrain)->Arg(256)->Arg(4096);
 
 }  // namespace
 }  // namespace bcast

@@ -14,13 +14,14 @@
 ///   - every controller epoch boundary (the program may switch),
 ///   - every stats-stream sample point.
 ///
-/// A round: (1) shards run `[t, B]` in parallel, queuing uplink submits
-/// into their SPSC queues; (2) the coordinator drains all queues, sorts
-/// the submits by (time, client id), and replays them against the real
-/// pull server — admission, the per-client uplink loss draw, enqueue —
-/// in that canonical order; (3) the server simulation runs to `B`,
-/// firing decisions/epoch ticks, and every pull transmission fans out
-/// as a delivery *mirror* into each shard's next round; (4) repeat.
+/// A round: (1) shards run `[t, B]` in parallel, each appending its
+/// uplink submits to a plain list; (2) at the barrier the coordinator
+/// takes every shard's list, sorts the submits by (time, client id),
+/// and replays them against the real pull server — admission, the
+/// per-client uplink loss draw, enqueue — in that canonical order;
+/// (3) the server simulation runs to `B`, firing decisions/epoch ticks,
+/// and its pull transmissions (as delivery *mirrors*) and program
+/// switches go into the one `Round` every shard reads next; (4) repeat.
 /// Configurations with no pull, no adaptation, and no stats stream have
 /// no coupling at all: the engine runs one round to completion, shards
 /// fully parallel.

@@ -20,8 +20,8 @@ void ShardPullHub::RemoveWaiter(PageId page, pull::PullSink* sink) {
   if (list.empty()) waiters_.erase(it);
 }
 
-void ShardPullHub::RouteMirrors() {
-  for (const Mirror& m : queued_) {
+void ShardPullHub::RouteMirrors(const std::vector<PullMirror>& mirrors) {
+  for (const PullMirror& m : mirrors) {
     // A wait that began by the slot start is registered by now, so the
     // waiter table lists every lane the slot can reach.
     BCAST_CHECK_LE(m.end - 1.0, sim_->Now())
@@ -43,7 +43,6 @@ void ShardPullHub::RouteMirrors() {
           des::EventKind::kPull);
     }
   }
-  queued_.clear();
 }
 
 void ShardPullHub::Deliver(PageId page, double end) {
@@ -79,7 +78,7 @@ pull::PullTransport ShardPullHub::MakeTransport(uint64_t client_id,
   transport.enabled = enabled_;
   transport.submit = [this, client_id](PageId page, double now,
                                        bool re_request) {
-    queue_.Push(UplinkMsg{now, client_id, page, re_request});
+    uplink_.push_back(UplinkMsg{now, client_id, page, re_request});
   };
   transport.service_interval = [this]() { return service_interval_; };
   transport.stats = stats;

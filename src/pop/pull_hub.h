@@ -9,12 +9,12 @@
 /// deliveries that resume those waiters when the coordinator's server
 /// transmits a pull slot.
 ///
-/// Requests flow the other way through an SPSC queue: a client's
-/// `PullClient` submits into its shard's queue during a round, and the
-/// coordinator drains all queues at the round barrier, replaying each
-/// submit against the real server in canonical (time, client) order so
-/// admission accounting and per-client uplink loss draws are identical
-/// for every shard count.
+/// Requests flow the other way as plain data: a client's `PullClient`
+/// appends each submit to its shard's uplink list during a round, and at
+/// the round barrier, with every shard parked, the coordinator takes all
+/// the lists and replays the submits against the real server in
+/// canonical (time, client) order, so admission accounting and
+/// per-client uplink loss draws are identical for every shard count.
 ///
 /// The shard runs its clients as lanes of one simulation (pop/shard.h),
 /// so a mirror goes only to the lanes that wait on its page. A pull slot
@@ -22,8 +22,8 @@
 /// (`BroadcastChannel::PageAwaiter::OnPullDelivery`), and the slot
 /// starts by the round that mirrors it (every slot start is a barrier).
 /// So the lanes waiting on the page at round start are all the lanes the
-/// slot can reach, and each queued mirror is scheduled into each of them
-/// then. A delivery is a verbatim mirror of
+/// slot can reach, and each of the round's mirrors is scheduled into each
+/// of them then. A delivery is a verbatim mirror of
 /// `PullServer::DeliverPage` — detach-then-offer with re-registration on
 /// refusal — for the lane's own waiters, and the consumed-offer count
 /// lands in a shard-local counter that the engine sums into the merged
@@ -38,14 +38,14 @@
 
 #include "broadcast/types.h"
 #include "des/simulation.h"
-#include "pop/spsc_queue.h"
 #include "pull/pull_client.h"
 #include "pull/pull_sink.h"
 #include "pull/pull_stats.h"
 
 namespace bcast::pop {
 
-/// \brief One uplink submit crossing a shard→coordinator queue.
+/// \brief One uplink submit, handed from a shard to the coordinator at
+/// the round barrier.
 struct UplinkMsg {
   double t = 0.0;          ///< simulation time of the submit
   uint64_t client = 0;     ///< submitting client id (global)
@@ -53,7 +53,14 @@ struct UplinkMsg {
   bool re_request = false; ///< timeout-driven re-send
 };
 
-/// \brief Shard-local waiter table + uplink forwarding for one shard.
+/// \brief A pull transmission of the coordinator's server: its page and
+/// the end of its slot (strictly after the barrier that produced it).
+struct PullMirror {
+  PageId page;
+  double end;
+};
+
+/// \brief Shard-local waiter table + uplink list for one shard.
 class ShardPullHub : public pull::WaiterRegistry {
  public:
   /// \p sim is the shard's simulation (its lanes are the clients).
@@ -69,23 +76,24 @@ class ShardPullHub : public pull::WaiterRegistry {
   void AddWaiter(PageId page, pull::PullSink* sink) override;
   void RemoveWaiter(PageId page, pull::PullSink* sink) override;
 
-  /// Coordinator side, between rounds: the coordinator's pull server
-  /// transmitted \p page in a pull slot ending at \p end (strictly after
-  /// the barrier that produced it).
-  void QueueMirror(PageId page, double end) {
-    queued_.push_back(Mirror{page, end});
-  }
-
   /// Shard side, at the top of a round, every lane's clock at the round
-  /// start: routes the queued mirrors to the lanes waiting on their
-  /// pages (see the file comment). Enters each such lane.
-  void RouteMirrors();
+  /// start: routes the previous server round's \p mirrors to the lanes
+  /// waiting on their pages (see the file comment). Enters each such
+  /// lane.
+  void RouteMirrors(const std::vector<PullMirror>& mirrors);
 
   /// Transport for client \p client_id: submits land in this shard's
-  /// queue, delivery/latency accounting lands in \p stats (the client's
-  /// own store block).
+  /// uplink list, delivery/latency accounting lands in \p stats (the
+  /// client's own store block).
   pull::PullTransport MakeTransport(uint64_t client_id,
                                     pull::PullStats* stats);
+
+  /// Coordinator side, at the barrier: appends the submits made since
+  /// the last call to \p out, in submit order, and empties the list.
+  void TakeUplink(std::vector<UplinkMsg>* out) {
+    out->insert(out->end(), uplink_.begin(), uplink_.end());
+    uplink_.clear();
+  }
 
   /// New mean pull service interval after a program switch (applied by
   /// the shard at the round start where the switch lands).
@@ -100,18 +108,10 @@ class ShardPullHub : public pull::WaiterRegistry {
   /// event count leaves out.
   uint64_t mirrors_fired() const { return mirrors_fired_; }
 
-  /// The shard→coordinator uplink queue (drained at barriers).
-  SpscQueue<UplinkMsg>& queue() { return queue_; }
-
  private:
   struct Waiter {
     pull::PullSink* sink;
     uint32_t lane;
-  };
-  // A pull transmission: its page and the end of its slot.
-  struct Mirror {
-    PageId page;
-    double end;
   };
 
   // Mirror of `PullServer::DeliverPage` for the entered lane's waiters
@@ -124,10 +124,9 @@ class ShardPullHub : public pull::WaiterRegistry {
   uint64_t pull_deliveries_ = 0;
   uint64_t mirrors_fired_ = 0;
   std::unordered_map<PageId, std::vector<Waiter>> waiters_;
-  std::vector<Mirror> queued_;  // not routed yet
+  std::vector<UplinkMsg> uplink_;  // this round's submits, in order
   std::vector<uint32_t> lanes_;  // RouteMirrors' scratch list
   std::vector<pull::PullSink*> detached_;  // Deliver's scratch list
-  SpscQueue<UplinkMsg> queue_;
 };
 
 }  // namespace bcast::pop

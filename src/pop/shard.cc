@@ -71,9 +71,10 @@ Status Shard::Build(const Rng& master) {
     inputs.server_faults = server_faults_.get();
     inputs.loss_sink = loss_monitor_.get();
     if (hub_ != nullptr) {
-      // Transport-attached requester: submits cross the SPSC queue to the
-      // coordinator, which owns the per-client uplink loss streams (draw
-      // order stays canonical no matter how clients shard).
+      // Transport-attached requester: submits land in the hub's uplink
+      // list, which the coordinator takes at the barrier; it owns the
+      // per-client uplink loss streams (draw order stays canonical no
+      // matter how clients shard).
       inputs.pull = std::make_unique<pull::PullClient>(
           &sim_, hub_->MakeTransport(c, store_->pull_stats(c)), params.pull);
     }
@@ -96,21 +97,12 @@ Status Shard::Build(const Rng& master) {
   return Status::OK();
 }
 
-void Shard::QueueMirror(PageId page, double end) {
-  hub_->QueueMirror(page, end);
-}
-
-void Shard::QueueSwitch(const BroadcastProgram* program,
-                        double service_interval, double at) {
-  pending_switches_.push_back(PendingSwitch{program, service_interval, at});
-}
-
-void Shard::ApplyMailbox() {
+void Shard::RunRound(const Round& round) {
   // Switches first: a mirror delivered under the new program must see
   // the channel already resynced: the switch happened at the epoch tick,
   // the delivery at a strictly later event. Every lane re-arms its own
   // in-flight wait.
-  for (const PendingSwitch& sw : pending_switches_) {
+  for (const ProgramSwitch& sw : round.switches) {
     for (uint32_t lane = 0; lane < sim_.lanes(); ++lane) {
       sim_.EnterLane(lane);
       channel_.SetProgram(sw.program, sw.at);
@@ -121,23 +113,18 @@ void Shard::ApplyMailbox() {
                            "program_switch", "pop", sw.at,
                            {{"shard", static_cast<double>(index_)}}));
   }
-  pending_switches_.clear();
-  if (hub_ != nullptr) hub_->RouteMirrors();
-}
-
-void Shard::RunRound(double barrier, bool to_completion) {
-  ApplyMailbox();
+  if (hub_ != nullptr) hub_->RouteMirrors(round.mirrors);
   // A later lane may still query the stall windows from the round start
   // on, however far the lanes before it ran — or from the start of a
   // pull slot in flight at the round start, floor(round start).
   if (server_faults_ != nullptr && sim_.lanes() > 1) {
     server_faults_->CapFloor(std::floor(round_start_));
   }
-  if (to_completion) {
+  if (round.to_completion) {
     sim_.RunLanes(std::numeric_limits<double>::infinity());
   } else {
-    sim_.RunLanes(barrier);
-    round_start_ = barrier;
+    sim_.RunLanes(round.barrier);
+    round_start_ = round.barrier;
   }
   BCAST_TIMELINE(shared_.timeline,
                  Counter(obs::track::Shard(static_cast<uint32_t>(index_)),

@@ -14,9 +14,10 @@
 ///
 /// Each client is a *lane* of the shard's simulation: its own clock and
 /// its own small set of pending events. The engine drives a shard in
-/// *rounds*: the coordinator writes the round's mailbox (pending program
-/// switch, pending pull-delivery mirrors) between rounds, then the
-/// shard's thread applies the mailbox and runs its lanes one at a time,
+/// *rounds*: between rounds the coordinator fills one `Round` (the
+/// barrier, and the previous server round's program switches and
+/// pull-delivery mirrors) that every shard reads; the shard's thread
+/// applies the switches and mirrors, then runs its lanes one at a time,
 /// in client-id order, each to the round barrier. Within a round no
 /// client's events change what another client's events see: the
 /// channel keeps a per-lane view of the program, the
@@ -67,6 +68,26 @@ struct ShardShared : WorldShared {
   bool profile_des = false;
 };
 
+/// \brief A program switch the adaptive controller made at a round
+/// barrier.
+struct ProgramSwitch {
+  const BroadcastProgram* program;
+  double service_interval;  ///< the new layout's mean pull spacing
+  double at;                ///< the barrier it happened at
+};
+
+/// \brief What every shard reads during one round. The coordinator
+/// writes it only between rounds, while every worker is parked at the
+/// gate (the gate's mutex publishes the writes); shards only read it.
+struct Round {
+  double barrier = 0.0;
+  bool to_completion = false;  ///< run every lane dry, ignore `barrier`
+  /// The previous server round's products: switches are applied before
+  /// mirrors.
+  std::vector<ProgramSwitch> switches;
+  std::vector<PullMirror> mirrors;
+};
+
 /// \brief One shard: clients [begin, end) of the population.
 class Shard {
  public:
@@ -79,27 +100,11 @@ class Shard {
   /// the first round.
   Status Build(const Rng& master);
 
-  /// \name Round mailbox — coordinator-side, only between rounds, while
-  /// any worker is parked at the gate (the gate's mutex publishes the
-  /// writes).
-  /// @{
-
-  /// The coordinator's pull server transmits \p page in the slot ending
-  /// at \p end (strictly after the round barrier that produced it);
-  /// mirror the delivery into this shard's waiter table next round.
-  void QueueMirror(PageId page, double end);
-
-  /// The adaptive controller switched to \p program at time \p at (a
-  /// round barrier); \p service_interval is the new layout's mean pull
-  /// spacing. Applied at the top of the next round.
-  void QueueSwitch(const BroadcastProgram* program, double service_interval,
-                   double at);
-  /// @}
-
   /// Shard-thread side (the coordinator for shard 0, a worker for the
-  /// rest): applies the mailbox, then runs every lane — to \p barrier,
-  /// or until its pending set is empty when \p to_completion.
-  void RunRound(double barrier, bool to_completion);
+  /// rest): applies \p round's program switches and pull mirrors, then
+  /// runs every lane — to the barrier, or until its pending set is empty
+  /// when `to_completion`.
+  void RunRound(const Round& round);
 
   /// Clients of this shard that have not finished their runs. Build
   /// spawns one process per client and nothing else, and a client's
@@ -144,8 +149,6 @@ class Shard {
   }
 
  private:
-  void ApplyMailbox();
-
   uint64_t index_;
   uint64_t begin_;
   uint64_t end_;
@@ -161,13 +164,6 @@ class Shard {
 
   VersionTicker version_ticker_;
   double round_start_ = 0.0;  // every lane's clock when a round begins
-
-  struct PendingSwitch {
-    const BroadcastProgram* program;
-    double service_interval;
-    double at;
-  };
-  std::vector<PendingSwitch> pending_switches_;
 };
 
 }  // namespace bcast::pop

@@ -32,10 +32,10 @@ namespace bcast::pull {
 ///
 /// The single-threaded paths talk to the in-simulation `PullServer`
 /// directly; the population engine substitutes a shard-side transport
-/// that forwards submits through an SPSC queue to the coordinator. The
-/// decision rule never depends on the submit's outcome (admission, loss,
-/// and enqueue are server-side accounting), which is exactly what makes
-/// the asynchronous transport equivalent.
+/// that collects submits for the coordinator to replay at the round
+/// barrier. The decision rule never depends on the submit's outcome
+/// (admission, loss, and enqueue are server-side accounting), which is
+/// exactly what makes the deferred transport equivalent.
 struct PullTransport {
   /// Whether the program carries pull capacity (constant over a layout
   /// generation; the adaptive controller never toggles enablement).

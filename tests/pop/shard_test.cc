@@ -77,13 +77,13 @@ void ExpectLiveCountMatchesScan(const MultiClientParams& params) {
   EXPECT_EQ(shard.unfinished(), n);
 
   bool saw_partial = false;
-  double barrier = 0.0;
+  Round round;
   while (shard.unfinished() > 0) {
-    barrier += 300.0;
-    ASSERT_LT(barrier, 1e8) << "clients never finished";
-    shard.RunRound(barrier, /*to_completion=*/false);
+    round.barrier += 300.0;
+    ASSERT_LT(round.barrier, 1e8) << "clients never finished";
+    shard.RunRound(round);
     const uint64_t scanned = ScanUnfinished(shard);
-    ASSERT_EQ(shard.unfinished(), scanned) << "barrier " << barrier;
+    ASSERT_EQ(shard.unfinished(), scanned) << "barrier " << round.barrier;
     saw_partial = saw_partial || (scanned > 0 && scanned < n);
   }
   EXPECT_TRUE(saw_partial) << "every client finished in the same round";
@@ -148,7 +148,9 @@ TEST(ShardClientStateTest, CachesSpanTheAccessRange) {
     EXPECT_EQ(world.cache->num_pages(), ranges[c]) << "client " << c;
     EXPECT_EQ(world.mapping->num_pages(), params.ServerDbSize());
   }
-  shard.RunRound(0.0, /*to_completion=*/true);
+  Round round;
+  round.to_completion = true;
+  shard.RunRound(round);
   EXPECT_EQ(shard.unfinished(), 0u);
   for (uint64_t c = 0; c < n; ++c) {
     const ClientMetrics& m = shard.world(c).client->metrics();
