@@ -27,6 +27,26 @@ void BM_ScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleAndRun)->Arg(1000)->Arg(10000);
 
+// As BM_ScheduleAndRun, with the largest capture an event may hold
+// (three 8-byte values, like the channel's and pull server's callbacks).
+void BM_ScheduleAndRunFullCapture(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  uint64_t sum = 0;
+  for (auto _ : state) {
+    des::Simulation sim;
+    for (int i = 0; i < batch; ++i) {
+      const double t = static_cast<double>(i % 97);
+      sim.Schedule(t, [out = &sum, i = static_cast<uint64_t>(i), t] {
+        *out += i + static_cast<uint64_t>(t);
+      });
+    }
+    sim.Run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_ScheduleAndRunFullCapture)->Arg(1000)->Arg(10000);
+
 void BM_ScheduleCancel(benchmark::State& state) {
   des::Simulation sim;
   for (auto _ : state) {
@@ -86,7 +106,8 @@ void BM_ChurnMix(benchmark::State& state) {
   // 2 pushes + 1 cancel + 1 pop per iteration.
   state.SetItemsProcessed(state.iterations() * 4);
 }
-BENCHMARK(BM_ChurnMix)->Arg(1024)->Arg(16384);
+// Window 4 is lossy_hybrid's live depth: about four pending events.
+BENCHMARK(BM_ChurnMix)->Arg(4)->Arg(1024)->Arg(16384);
 
 // Pure push/pop steady state at a fixed pending-set size.
 void BM_SteadyState(benchmark::State& state) {

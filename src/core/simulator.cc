@@ -176,20 +176,24 @@ void VersionTicker::Start(des::Simulation* sim, BroadcastChannel* channel,
                           double every) {
   if (every <= 0.0) return;
   channel->EnableResync();
+  sim_ = sim;
+  channel_ = channel;
+  every_ = every;
   lane_bumps_.assign(sim->lanes(), 0);
   lane_events_.assign(sim->lanes(), 0);
-  tick_ = [this, sim, channel, every]() {
-    ++events_;
-    ++lane_events_[sim->lane()];
-    if (sim->lane_live_processes() == 0) return;
-    channel->SetProgram(&channel->program(), sim->Now());
-    ++lane_bumps_[sim->lane()];
-    sim->Schedule(every, tick_, des::EventKind::kController);
-  };
   for (uint32_t lane = 0; lane < sim->lanes(); ++lane) {
     sim->EnterLane(lane);
-    sim->Schedule(every, tick_, des::EventKind::kController);
+    sim->Schedule(every, [this]() { Tick(); }, des::EventKind::kController);
   }
+}
+
+void VersionTicker::Tick() {
+  ++events_;
+  ++lane_events_[sim_->lane()];
+  if (sim_->lane_live_processes() == 0) return;
+  channel_->SetProgram(&channel_->program(), sim_->Now());
+  ++lane_bumps_[sim_->lane()];
+  sim_->Schedule(every_, [this]() { Tick(); }, des::EventKind::kController);
 }
 
 uint64_t VersionTicker::bumps() const {

@@ -428,7 +428,13 @@ class VersionTicker {
   uint64_t max_lane_events() const;
 
  private:
-  std::function<void()> tick_;
+  // One tick of the entered lane's chain: re-announces the program and
+  // schedules the next tick while the lane has live processes.
+  void Tick();
+
+  des::Simulation* sim_ = nullptr;
+  BroadcastChannel* channel_ = nullptr;
+  double every_ = 0.0;
   uint64_t events_ = 0;
   std::vector<uint64_t> lane_bumps_;
   std::vector<uint64_t> lane_events_;

@@ -6,14 +6,6 @@
 #include "common/logging.h"
 
 namespace bcast::des {
-namespace {
-
-// Compaction trigger: purge the heap once stale refs both exceed this
-// floor and outnumber the live events. The floor keeps tiny queues from
-// compacting on every cancel; the ratio bounds memory at O(live).
-constexpr uint64_t kCompactFloor = 64;
-
-}  // namespace
 
 const char* EventKindName(EventKind kind) {
   switch (kind) {
@@ -69,18 +61,17 @@ void EventQueue::FreeSlot(uint32_t slot) {
   Slot& s = slab_[slot];
   ++s.gen;
   if (s.gen == 0) ++s.gen;  // generation 0 is reserved (never a valid id)
-  s.fn = nullptr;           // release captured state immediately
   free_slots_.push_back(slot);
 }
 
-EventQueue::EventId EventQueue::Push(double time, std::function<void()> fn,
+EventQueue::EventId EventQueue::Push(double time, EventCallback fn,
                                      EventKind kind) {
   BCAST_CHECK(std::isfinite(time))
       << "event time must be finite, got " << time;
   BCAST_CHECK_LT(next_seq_, kMaxSeq) << "EventQueue sequence exhausted";
   const uint32_t slot = AllocSlot();
   Slot& s = slab_[slot];
-  s.fn = std::move(fn);
+  s.fn = fn;
   s.lane = lane_;
   const uint64_t seq_and_kind =
       (next_seq_++ << kKindBits) | static_cast<uint64_t>(kind);
@@ -112,14 +103,20 @@ bool EventQueue::Cancel(EventId id) {
 }
 
 void EventQueue::MaybeCompact(Heap* heap, uint64_t live, uint64_t* stale) {
-  if (*stale <= kCompactFloor || *stale <= live) return;
+  if (*stale <= live) return;
+  *stale = 0;
+  // With nothing live every ref is stale (a cancel-only queue sweeps
+  // here on each cancel, so this must stay cheap).
+  if (live == 0) {
+    heap->clear();
+    return;
+  }
   heap->erase(std::remove_if(heap->begin(), heap->end(),
                              [this](const EventRef& ref) {
                                return !IsLive(ref);
                              }),
               heap->end());
   std::make_heap(heap->begin(), heap->end(), LaterRef{});
-  *stale = 0;
 }
 
 void EventQueue::PopFront() {
@@ -141,7 +138,7 @@ double EventQueue::PeekTime() {
   return heap_.front().time;
 }
 
-std::function<void()> EventQueue::Pop(double* time, EventKind* kind) {
+EventCallback EventQueue::Pop(double* time, EventKind* kind) {
   BCAST_CHECK(live_ > 0) << "Pop on empty EventQueue";
   SkipStale();
   BCAST_CHECK(!heap_.empty()) << "heap lost a live event";
@@ -150,7 +147,7 @@ std::function<void()> EventQueue::Pop(double* time, EventKind* kind) {
   if (kind != nullptr) {
     *kind = static_cast<EventKind>(ref.seq_and_kind & 0xff);
   }
-  std::function<void()> fn = std::move(slab_[ref.slot].fn);
+  EventCallback fn = slab_[ref.slot].fn;
   FreeSlot(ref.slot);
   PopFront();
   --live_;
@@ -172,7 +169,6 @@ void EventQueue::Clear() {
     Slot& s = slab_[i];
     ++s.gen;
     if (s.gen == 0) ++s.gen;
-    s.fn = nullptr;
     free_slots_.push_back(static_cast<uint32_t>(i));
   }
 }

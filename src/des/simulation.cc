@@ -54,18 +54,16 @@ Simulation::~Simulation() {
   }
 }
 
-EventQueue::EventId Simulation::Schedule(double delay,
-                                         std::function<void()> fn,
+EventQueue::EventId Simulation::Schedule(double delay, EventCallback fn,
                                          EventKind kind) {
   BCAST_CHECK_GE(delay, 0.0);
-  return queue_.Push(now_ + delay, std::move(fn), kind);
+  return queue_.Push(now_ + delay, fn, kind);
 }
 
-EventQueue::EventId Simulation::ScheduleAt(double time,
-                                           std::function<void()> fn,
+EventQueue::EventId Simulation::ScheduleAt(double time, EventCallback fn,
                                            EventKind kind) {
   BCAST_CHECK_GE(time, now_);
-  return queue_.Push(time, std::move(fn), kind);
+  return queue_.Push(time, fn, kind);
 }
 
 void Simulation::Spawn(Process process) {
@@ -142,7 +140,7 @@ double Simulation::frontier() const {
   return latest;
 }
 
-void Simulation::Dispatch(std::function<void()>& fn, EventKind kind) {
+void Simulation::Dispatch(EventCallback& fn, EventKind kind) {
   const auto start = std::chrono::steady_clock::now();
   fn();
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -169,7 +167,7 @@ void Simulation::Drain() {
   if (!profiling_) {
     while (!queue_.empty()) {
       double t;
-      std::function<void()> fn = queue_.Pop(&t);
+      EventCallback fn = queue_.Pop(&t);
       BCAST_CHECK_GE(t, now_) << "event scheduled in the past";
       now_ = t;
       ++events_dispatched_;
@@ -179,7 +177,7 @@ void Simulation::Drain() {
     while (!queue_.empty()) {
       double t;
       EventKind kind;
-      std::function<void()> fn = queue_.Pop(&t, &kind);
+      EventCallback fn = queue_.Pop(&t, &kind);
       BCAST_CHECK_GE(t, now_) << "event scheduled in the past";
       now_ = t;
       ++events_dispatched_;
@@ -196,7 +194,7 @@ void Simulation::RunUntil(double time) {
   horizon_ = time;
   while (!queue_.empty() && queue_.PeekTime() <= time) {
     double t;
-    std::function<void()> fn;
+    EventCallback fn;
     if (!profiling_) {
       fn = queue_.Pop(&t);
       now_ = t;

@@ -193,11 +193,13 @@ class Simulation {
   /// Schedules \p fn to run at `Now() + delay`; \p delay must be >= 0.
   /// Returns an id usable with `CancelEvent`. \p kind is descriptive
   /// only (profiling/timeline attribution) and never affects ordering.
-  EventQueue::EventId Schedule(double delay, std::function<void()> fn,
+  /// \p fn is stored inline (at most 24 bytes of trivially copyable
+  /// capture; see `EventCallback`).
+  EventQueue::EventId Schedule(double delay, EventCallback fn,
                                EventKind kind = EventKind::kGeneric);
 
   /// Schedules \p fn at absolute \p time (>= Now()).
-  EventQueue::EventId ScheduleAt(double time, std::function<void()> fn,
+  EventQueue::EventId ScheduleAt(double time, EventCallback fn,
                                  EventKind kind = EventKind::kGeneric);
 
   /// Cancels a scheduled event; false if it already fired or was cancelled.
@@ -313,7 +315,7 @@ class Simulation {
   void OnProcessFinished(Process::Handle h);
 
   // Runs one popped callback, profiled when profiling is on.
-  void Dispatch(std::function<void()>& fn, EventKind kind);
+  void Dispatch(EventCallback& fn, EventKind kind);
 
   // Run without the timeline span: dispatches the entered lane's events
   // until it is empty.

@@ -7,17 +7,16 @@
 namespace bcast::pop {
 
 void ShardPullHub::AddWaiter(PageId page, pull::PullSink* sink) {
+  if (page >= waiters_.size()) waiters_.resize(size_t{page} + 1);
   waiters_[page].push_back(Waiter{sink, sim_->lane()});
 }
 
 void ShardPullHub::RemoveWaiter(PageId page, pull::PullSink* sink) {
-  auto it = waiters_.find(page);
-  if (it == waiters_.end()) return;
-  std::vector<Waiter>& list = it->second;
+  if (page >= waiters_.size()) return;
+  std::vector<Waiter>& list = waiters_[page];
   list.erase(std::remove_if(list.begin(), list.end(),
                             [sink](const Waiter& w) { return w.sink == sink; }),
              list.end());
-  if (list.empty()) waiters_.erase(it);
 }
 
 void ShardPullHub::RouteMirrors(const std::vector<PullMirror>& mirrors) {
@@ -26,10 +25,9 @@ void ShardPullHub::RouteMirrors(const std::vector<PullMirror>& mirrors) {
     // waiter table lists every lane the slot can reach.
     BCAST_CHECK_LE(m.end - 1.0, sim_->Now())
         << "a pull slot mirrored before it started";
-    auto it = waiters_.find(m.page);
-    if (it == waiters_.end()) continue;
+    if (m.page >= waiters_.size()) continue;
     lanes_.clear();
-    for (const Waiter& w : it->second) lanes_.push_back(w.lane);
+    for (const Waiter& w : waiters_[m.page]) lanes_.push_back(w.lane);
     std::sort(lanes_.begin(), lanes_.end());
     lanes_.erase(std::unique(lanes_.begin(), lanes_.end()), lanes_.end());
     for (uint32_t lane : lanes_) {
@@ -46,12 +44,11 @@ void ShardPullHub::RouteMirrors(const std::vector<PullMirror>& mirrors) {
 }
 
 void ShardPullHub::Deliver(PageId page, double end) {
-  auto it = waiters_.find(page);
-  if (it == waiters_.end()) return;
+  if (page >= waiters_.size()) return;
   // Detach the lane's sinks first: consuming one resumes its client,
   // which may register new waiters (for other pages) re-entrantly.
   const uint32_t lane = sim_->lane();
-  std::vector<Waiter>& list = it->second;
+  std::vector<Waiter>& list = waiters_[page];
   detached_.clear();
   list.erase(std::remove_if(list.begin(), list.end(),
                             [this, lane](const Waiter& w) {
@@ -60,7 +57,6 @@ void ShardPullHub::Deliver(PageId page, double end) {
                               return true;
                             }),
              list.end());
-  if (list.empty()) waiters_.erase(it);
   for (pull::PullSink* sink : detached_) {
     if (sink->OnPullDelivery(end)) {
       ++pull_deliveries_;

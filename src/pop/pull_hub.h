@@ -33,7 +33,6 @@
 #define BCAST_POP_PULL_HUB_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "broadcast/types.h"
@@ -123,7 +122,9 @@ class ShardPullHub : public pull::WaiterRegistry {
   double service_interval_;
   uint64_t pull_deliveries_ = 0;
   uint64_t mirrors_fired_ = 0;
-  std::unordered_map<PageId, std::vector<Waiter>> waiters_;
+  // Registered waiters of each page in registration order, indexed by
+  // page and grown on demand; an emptied list keeps its storage.
+  std::vector<std::vector<Waiter>> waiters_;
   std::vector<UplinkMsg> uplink_;  // this round's submits, in order
   std::vector<uint32_t> lanes_;  // RouteMirrors' scratch list
   std::vector<pull::PullSink*> detached_;  // Deliver's scratch list

@@ -88,13 +88,12 @@ void PullServer::ServiceDecision(double slot_start) {
 }
 
 void PullServer::DeliverPage(PageId page, double end) {
-  auto it = waiters_.find(page);
-  if (it == waiters_.end()) return;
+  if (page >= waiters_.size() || waiters_[page].empty()) return;
   // Detach the list first: consuming sinks resume client coroutines,
-  // which may register new waiters (for other pages) re-entrantly.
-  std::vector<PullSink*> sinks = std::move(it->second);
-  waiters_.erase(it);
-  for (PullSink* sink : sinks) {
+  // which may register new waiters re-entrantly. A delivery runs as its
+  // own event and never inside another, so one scratch list serves.
+  detached_.swap(waiters_[page]);
+  for (PullSink* sink : detached_) {
     if (sink->OnPullDelivery(end)) {
       ++stats_.pull_deliveries;
     } else {
@@ -103,18 +102,18 @@ void PullServer::DeliverPage(PageId page, double end) {
       waiters_[page].push_back(sink);
     }
   }
+  detached_.clear();
 }
 
 void PullServer::AddWaiter(PageId page, PullSink* sink) {
+  if (page >= waiters_.size()) waiters_.resize(size_t{page} + 1);
   waiters_[page].push_back(sink);
 }
 
 void PullServer::RemoveWaiter(PageId page, PullSink* sink) {
-  auto it = waiters_.find(page);
-  if (it == waiters_.end()) return;
-  std::vector<PullSink*>& sinks = it->second;
+  if (page >= waiters_.size()) return;
+  std::vector<PullSink*>& sinks = waiters_[page];
   sinks.erase(std::remove(sinks.begin(), sinks.end(), sink), sinks.end());
-  if (sinks.empty()) waiters_.erase(it);
 }
 
 void PullServer::SetLayout(HybridLayout layout, double now) {

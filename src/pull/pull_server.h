@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -156,7 +155,11 @@ class PullServer : public WaiterRegistry {
   // second decision in a slot that already transmitted.
   double next_decision_floor_ = 0.0;
   std::function<void(PageId, double)> service_fanout_;
-  std::unordered_map<PageId, std::vector<PullSink*>> waiters_;
+  // Registered sinks of each page in registration order, indexed by page
+  // and grown on demand; an emptied list keeps its storage for the next
+  // wait on the page.
+  std::vector<std::vector<PullSink*>> waiters_;
+  std::vector<PullSink*> detached_;  // DeliverPage's scratch list
 };
 
 }  // namespace bcast::pull

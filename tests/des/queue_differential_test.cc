@@ -129,6 +129,37 @@ double DrawTime(Rng& rng) {
   }
 }
 
+// The state a script's callbacks touch. An event's callback captures at
+// most 24 bytes, so it holds a pointer to this plus its marker.
+template <typename Queue>
+struct ScriptState {
+  Queue q;
+  std::vector<uint64_t> outstanding;  // markers of events believed live
+  std::unordered_map<uint64_t, uint64_t> id_of;  // marker -> queue's id
+  // Markers whose callback re-enters Push -> the stream it draws from.
+  std::unordered_map<uint64_t, Rng> nested_of;
+  uint64_t next_marker = 1;
+  uint64_t last_marker = 0;            // set by the callback that just ran
+  std::vector<Observation> reentrant;  // pushes made inside callbacks
+};
+
+// The callback of the event named \p marker.
+template <typename Queue>
+void RunMarker(ScriptState<Queue>* s, uint64_t marker) {
+  s->last_marker = marker;
+  const auto it = s->nested_of.find(marker);
+  if (it == s->nested_of.end()) return;
+  // Re-entrant Push from a running callback, as coroutine resumptions
+  // do constantly in the real kernel.
+  const double t = DrawTime(it->second);
+  const uint64_t nested_marker = s->next_marker++;
+  s->id_of[nested_marker] =
+      s->q.Push(t, [s, nested_marker] { s->last_marker = nested_marker; });
+  s->outstanding.push_back(nested_marker);
+  s->reentrant.push_back(Observation{Observation::kPush, t, nested_marker,
+                                     0, true, s->q.size()});
+}
+
 // Replays the script derived from \p seed against a fresh \p Queue and
 // returns the full observation log. All control decisions draw from the
 // same seeded stream, so two queues with identical observable behaviour
@@ -136,40 +167,21 @@ double DrawTime(Rng& rng) {
 template <typename Queue>
 std::vector<Observation> RunScript(uint64_t seed, size_t num_ops) {
   Rng rng(seed);
-  Queue q;
+  ScriptState<Queue> state;
+  ScriptState<Queue>* const s = &state;
+  Queue& q = state.q;
   std::vector<Observation> log;
   log.reserve(num_ops + num_ops / 2);
-  std::vector<uint64_t> outstanding;  // markers of events believed live
-  std::unordered_map<uint64_t, uint64_t> id_of;  // marker -> queue's id
-  uint64_t next_marker = 1;
-  uint64_t last_marker = 0;            // set by the callback that just ran
-  std::vector<Observation> reentrant;  // pushes made inside callbacks
 
   auto push_one = [&](double time) {
-    const uint64_t marker = next_marker++;
+    const uint64_t marker = s->next_marker++;
     const auto kind = static_cast<EventKind>(rng.NextBounded(8));
-    Rng nested = rng.Split(marker);
-    const bool reenter = rng.NextBernoulli(0.1);
-    id_of[marker] = q.Push(
-        time,
-        [&, marker, reenter, nested]() mutable {
-          last_marker = marker;
-          if (reenter) {
-            // Re-entrant Push from a running callback, as coroutine
-            // resumptions do constantly in the real kernel.
-            const double t = DrawTime(nested);
-            const uint64_t nested_marker = next_marker++;
-            id_of[nested_marker] = q.Push(t, [&last_marker, nested_marker] {
-              last_marker = nested_marker;
-            });
-            outstanding.push_back(nested_marker);
-            reentrant.push_back(Observation{Observation::kPush, t,
-                                            nested_marker, 0, true,
-                                            q.size()});
-          }
-        },
-        kind);
-    outstanding.push_back(marker);
+    if (rng.NextBernoulli(0.1)) {
+      s->nested_of.emplace(marker, rng.Split(marker));
+    }
+    s->id_of[marker] =
+        q.Push(time, [s, marker] { RunMarker(s, marker); }, kind);
+    s->outstanding.push_back(marker);
     log.push_back(Observation{Observation::kPush, time, marker,
                               static_cast<int>(kind), true, q.size()});
   };
@@ -192,11 +204,11 @@ std::vector<Observation> RunScript(uint64_t seed, size_t num_ops) {
       // bogus id (marker 0).
       uint64_t marker = 0;
       uint64_t id;
-      if (rng.NextBernoulli(0.8) && !outstanding.empty()) {
-        const size_t at = rng.NextBounded(outstanding.size());
-        marker = outstanding[at];
-        outstanding.erase(outstanding.begin() + at);
-        id = id_of[marker];
+      if (rng.NextBernoulli(0.8) && !s->outstanding.empty()) {
+        const size_t at = rng.NextBounded(s->outstanding.size());
+        marker = s->outstanding[at];
+        s->outstanding.erase(s->outstanding.begin() + at);
+        id = s->id_of[marker];
       } else {
         id = rng.Next();  // almost surely invalid
       }
@@ -206,18 +218,18 @@ std::vector<Observation> RunScript(uint64_t seed, size_t num_ops) {
     } else if (roll < 97) {
       double t;
       EventKind kind;
-      std::function<void()> fn = q.Pop(&t, &kind);
+      auto fn = q.Pop(&t, &kind);
       const size_t before = log.size();
-      last_marker = 0;
+      s->last_marker = 0;
       fn();  // may re-enter Push (recorded into `reentrant`)
-      for (Observation& o : reentrant) log.push_back(o);
-      reentrant.clear();
+      for (Observation& o : s->reentrant) log.push_back(o);
+      s->reentrant.clear();
       log.insert(log.begin() + static_cast<ptrdiff_t>(before),
-                 Observation{Observation::kPop, t, last_marker,
+                 Observation{Observation::kPop, t, s->last_marker,
                              static_cast<int>(kind), true, q.size()});
     } else {
       q.Clear();
-      outstanding.clear();
+      s->outstanding.clear();
       log.push_back(
           Observation{Observation::kClear, 0.0, 0, 0, true, q.size()});
     }
@@ -226,13 +238,13 @@ std::vector<Observation> RunScript(uint64_t seed, size_t num_ops) {
   while (!q.empty()) {
     double t;
     EventKind kind;
-    std::function<void()> fn = q.Pop(&t, &kind);
-    last_marker = 0;
+    auto fn = q.Pop(&t, &kind);
+    s->last_marker = 0;
     fn();
-    log.push_back(Observation{Observation::kPop, t, last_marker,
+    log.push_back(Observation{Observation::kPop, t, s->last_marker,
                               static_cast<int>(kind), true, q.size()});
-    for (Observation& o : reentrant) log.push_back(o);
-    reentrant.clear();
+    for (Observation& o : s->reentrant) log.push_back(o);
+    s->reentrant.clear();
   }
   return log;
 }
