@@ -204,8 +204,8 @@ TEST_F(EventQueueDeathTest, NonFiniteTimesRejected) {
 // The old kernel kept every cancelled far-future event inside its heap
 // (and its id in two hash sets) until the simulation's clock reached the
 // event's timestamp — never, for periodic-timeout workloads. These tests
-// pin the fix: stale refs are compacted once they outnumber live events,
-// and Clear releases everything.
+// pin the fix: a cancel sweeps stale refs once they outnumber live
+// events, and Clear releases everything.
 
 TEST(EventQueueMemoryTest, RepeatedScheduleCancelStaysBounded) {
   EventQueue q;
@@ -217,12 +217,34 @@ TEST(EventQueueMemoryTest, RepeatedScheduleCancelStaysBounded) {
     const auto id = q.Push(1e12 + i, [] {});
     ASSERT_TRUE(q.Cancel(id));
     ASSERT_EQ(q.size(), 1u);
+    // A cancel sweeps as soon as stale refs outnumber live events, so
+    // after it the heap holds at most twice the live events.
+    ASSERT_LE(q.heap_entries(), 2u);
   }
-  // Stale refs are purged whenever they outnumber live events (floor
-  // 64), so the heap never holds more than live + floor + 1 refs.
-  EXPECT_LE(q.heap_entries(), 66u);
+  EXPECT_LE(q.heap_entries(), 2u);
   // And the payload slab reuses the same slot every cycle.
   EXPECT_LE(q.allocated_slots(), 2u);
+}
+
+TEST(EventQueueMemoryTest, CancellingEveryLiveEventEmptiesTheHeap) {
+  EventQueue q;
+  const auto a = q.Push(1.0, [] {});
+  const auto b = q.Push(2.0, [] {});
+  const auto c = q.Push(3.0, [] {});
+  ASSERT_TRUE(q.Cancel(b));
+  EXPECT_EQ(q.heap_entries(), 3u);  // one stale ref, two live: kept
+  ASSERT_TRUE(q.Cancel(a));
+  EXPECT_EQ(q.heap_entries(), 1u);  // two stale, one live: swept
+  ASSERT_TRUE(q.Cancel(c));
+  EXPECT_EQ(q.heap_entries(), 0u);  // nothing live: every ref dropped
+  EXPECT_TRUE(q.empty());
+  // The queue works on after the sweeps.
+  bool fired = false;
+  q.Push(4.0, [&] { fired = true; });
+  double t;
+  q.Pop(&t)();
+  EXPECT_TRUE(fired);
+  EXPECT_DOUBLE_EQ(t, 4.0);
 }
 
 TEST(EventQueueMemoryTest, ScheduleCancelClearCyclesKeepSlabBounded) {
